@@ -10,8 +10,10 @@ in front of a small convolutional network.
 from .basis import (
     BasisLibrary,
     ClassBasis,
-    build_class_basis,
+    ClassFit,
     build_library,
+    fit_classes,
+    library_from_fits,
     load_factors,
     load_library,
     project_pairs,
@@ -68,6 +70,7 @@ __all__ = [
     "Architecture",
     "BasisLibrary",
     "ClassBasis",
+    "ClassFit",
     "ClassLabel",
     "ConfigError",
     "DataError",
@@ -86,14 +89,15 @@ __all__ = [
     "TruncationRule",
     "accuracy",
     "aggregate",
-    "build_class_basis",
     "build_library",
     "classify",
     "classify_pairs",
     "confusion_matrix",
+    "fit_classes",
     "gavish_donoho_omega",
     "generate_synthetic",
     "initialize",
+    "library_from_fits",
     "load_checkpoint",
     "load_dataset",
     "load_factors",

@@ -19,8 +19,14 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .dataset import ClassLabel, Pair, assemble_snapshot_matrix
-from .errors import CapacityError, ConfigError, DataFormatError, NumericError
-from .svd import ThinSVD, select_rank, thin_svd, truncate
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DataFormatError,
+    NumericError,
+    read_exact,
+)
+from .svd import ThinSVD, hard_threshold, select_rank, thin_svd, truncate
 
 FACTORS_MAGIC = b"EIGH"
 LIBRARY_MAGIC = b"EIGB"
@@ -100,68 +106,92 @@ class BasisLibrary:
         raise ConfigError(f"no basis for class id {class_id}")
 
 
-def build_class_basis(
-    frames: Sequence[np.ndarray],
-    label: ClassLabel,
-    rank: int | None = None,
-    tolerance: float | None = None,
-    method: str = "auto",
-) -> tuple[ClassBasis, ThinSVD | None, list[str]]:
-    """Mean-center a class ensemble and keep the leading modes.
+@dataclass(frozen=True)
+class ClassFit:
+    """Mean and centered thin SVD of one class's J x K snapshot matrix.
 
-    Returns the basis, the full (untruncated) SVD for diagnostics, and any
-    warnings. An ensemble of identical frames has a zero centered matrix;
-    it falls back to the canonical first-coordinate mode so every class
-    always offers at least one direction.
+    Fitting is the expensive step; :meth:`basis` truncates a fit under any
+    rank rule without touching the frames again. ``svd`` is None for an
+    ensemble of identical frames, whose centered matrix is zero.
     """
+
+    label: ClassLabel
+    mean: np.ndarray
+    svd: ThinSVD | None
+    shape: tuple[int, int]
+
+    def basis(
+        self, rank: int | None = None, tolerance: float | None = None
+    ) -> tuple[ClassBasis, list[str]]:
+        """Keep the leading modes under a rank rule: explicit rank, else
+        energy tolerance, else the hard threshold. Returns the basis and
+        any warnings.
+
+        A degenerate ensemble falls back to the canonical first-coordinate
+        mode so every class always offers at least one direction.
+        """
+        code = self.label.code
+        j, k = self.shape
+        if self.svd is None:
+            modes = np.zeros((j, 1))
+            modes[0, 0] = 1.0
+            basis = ClassBasis(self.label, self.mean, modes, values=np.zeros(1))
+            return basis, [
+                f"class {code}: all {k} frames identical; "
+                "using canonical one-mode basis"
+            ]
+        svd = self.svd
+        kept = truncate(svd, select_rank(svd, self.shape, rank, tolerance))
+        warnings = []
+        if rank is not None and rank > svd.rank:
+            warnings.append(f"class {code}: requested rank {rank} capped at {svd.rank}")
+        if rank is None and tolerance is None:
+            threshold = hard_threshold(svd.values, self.shape)
+            if svd.values[0] <= threshold:
+                warnings.append(
+                    f"class {code}: no singular value above the hard threshold "
+                    f"{threshold:.4g} (median sigma {np.median(svd.values):.4g}, "
+                    f"sigma_1 {svd.values[0]:.4g}); fell back to rank 1"
+                )
+        basis = ClassBasis(
+            self.label, self.mean, kept.modes.copy(), values=kept.values.copy()
+        )
+        return basis, warnings
+
+
+def fit_class(frames: Sequence[np.ndarray], label: ClassLabel) -> ClassFit:
+    """Mean-center a class ensemble and take its thin SVD once."""
     matrix = assemble_snapshot_matrix(frames)
-    j, k = matrix.shape
     mean = matrix.mean(axis=1)
     centered = matrix - mean[:, None]
     spread = np.linalg.norm(centered)
     scale = max(np.linalg.norm(matrix), 1.0)
-    if spread <= DEGENERATE_SPREAD * scale:
-        modes = np.zeros((j, 1))
-        modes[0, 0] = 1.0
-        warning = (
-            f"class {label.code}: all {k} frames identical; "
-            "using canonical one-mode basis"
-        )
-        basis = ClassBasis(label, mean, modes, values=np.zeros(1))
-        return basis, None, [warning]
-    svd = thin_svd(centered, method=method)
-    r = select_rank(svd, (j, k), rank=rank, tolerance=tolerance)
-    kept = truncate(svd, r)
-    warnings = []
-    if rank is not None and rank > svd.rank:
-        warnings.append(
-            f"class {label.code}: requested rank {rank} capped at {svd.rank}"
-        )
-    basis = ClassBasis(label, mean, kept.modes.copy(), values=kept.values.copy())
-    return basis, svd, warnings
+    svd = None if spread <= DEGENERATE_SPREAD * scale else thin_svd(centered)
+    return ClassFit(label, mean, svd, matrix.shape)
 
 
-def build_library(
-    pairs: Sequence[Pair],
-    frame_shape: tuple[int, int],
-    rank: int | None = None,
-    tolerance: float | None = None,
-    method: str = "auto",
-    source: str = "",
-) -> BasisLibrary:
-    """One basis per class from labeled frames (normally the train split)."""
+def fit_classes(pairs: Sequence[Pair]) -> list[ClassFit]:
+    """Group labeled frames by class and fit each class, in class-id order."""
     if not pairs:
         raise CapacityError("no frames to build a basis library from")
     grouped: dict[int, tuple[ClassLabel, list[np.ndarray]]] = {}
     for image, label in pairs:
         grouped.setdefault(label.id, (label, []))[1].append(image)
+    return [fit_class(frames, label) for _, (label, frames) in sorted(grouped.items())]
+
+
+def library_from_fits(
+    fits: Sequence[ClassFit],
+    frame_shape: tuple[int, int],
+    rank: int | None = None,
+    tolerance: float | None = None,
+    source: str = "",
+) -> BasisLibrary:
+    """One basis per class fit, all truncated under the same rank rule."""
     bases = []
     warnings: list[str] = []
-    for class_id in sorted(grouped):
-        label, frames = grouped[class_id]
-        basis, _, notes = build_class_basis(
-            frames, label, rank=rank, tolerance=tolerance, method=method
-        )
+    for fit in fits:
+        basis, notes = fit.basis(rank, tolerance)
         bases.append(basis)
         warnings.extend(notes)
     if rank is not None:
@@ -173,13 +203,22 @@ def build_library(
     provenance = {
         "rank_rule": rule,
         "ranks": {b.label.code: b.rank for b in bases},
-        "training_frames": {
-            b.label.code: len(grouped[b.label.id][1]) for b in bases
-        },
+        "training_frames": {fit.label.code: fit.shape[1] for fit in fits},
         "source": source,
         "warnings": warnings,
     }
     return BasisLibrary(frame_shape, tuple(bases), provenance)
+
+
+def build_library(
+    pairs: Sequence[Pair],
+    frame_shape: tuple[int, int],
+    rank: int | None = None,
+    tolerance: float | None = None,
+    source: str = "",
+) -> BasisLibrary:
+    """One basis per class from labeled frames (normally the train split)."""
+    return library_from_fits(fit_classes(pairs), frame_shape, rank, tolerance, source)
 
 
 def project_pairs(library: BasisLibrary, pairs: Sequence[Pair]) -> list[Pair]:
@@ -209,27 +248,20 @@ def _write_array(stream: BinaryIO, array: np.ndarray) -> None:
     stream.write(np.asarray(array, dtype="<f8").tobytes(order="F"))
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    data = stream.read(count)
-    if len(data) != count:
-        raise DataFormatError(f"truncated file while reading {what}")
-    return data
-
-
 def _read_array(stream: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
     count = int(np.prod(shape)) if shape else 1
-    data = _read_exact(stream, 8 * count, what)
+    data = read_exact(stream, 8 * count, what)
     array = np.frombuffer(data, dtype="<f8").reshape(shape, order="F")
     return np.asarray(array, dtype=np.float64, order="C").copy()
 
 
 def _check_header(stream: BinaryIO, magic: bytes, path: Path) -> None:
-    got = _read_exact(stream, 4, "magic")
+    got = read_exact(stream, 4, "magic")
     if got != magic:
         raise DataFormatError(
             f"{path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
         )
-    (version,) = struct.unpack("<I", _read_exact(stream, 4, "version"))
+    (version,) = struct.unpack("<I", read_exact(stream, 4, "version"))
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported format version {version}")
 
@@ -251,7 +283,7 @@ def load_factors(path: str | Path) -> ThinSVD:
     path = Path(path)
     with open(path, "rb") as stream:
         _check_header(stream, FACTORS_MAGIC, path)
-        j, k, r = struct.unpack("<QQQ", _read_exact(stream, 24, "dimensions"))
+        j, k, r = struct.unpack("<QQQ", read_exact(stream, 24, "dimensions"))
         if r > min(j, k):
             raise DataFormatError(f"{path}: rank {r} exceeds min({j}, {k})")
         values = _read_array(stream, (r,), "singular values")
@@ -292,20 +324,20 @@ def load_library(path: str | Path) -> BasisLibrary:
     path = Path(path)
     with open(path, "rb") as stream:
         _check_header(stream, LIBRARY_MAGIC, path)
-        (count,) = struct.unpack("<I", _read_exact(stream, 4, "class count"))
-        h, w = struct.unpack("<QQ", _read_exact(stream, 16, "frame shape"))
-        (blob_len,) = struct.unpack("<Q", _read_exact(stream, 8, "provenance size"))
+        (count,) = struct.unpack("<I", read_exact(stream, 4, "class count"))
+        h, w = struct.unpack("<QQ", read_exact(stream, 16, "frame shape"))
+        (blob_len,) = struct.unpack("<Q", read_exact(stream, 8, "provenance size"))
         try:
-            provenance = json.loads(_read_exact(stream, blob_len, "provenance"))
+            provenance = json.loads(read_exact(stream, blob_len, "provenance"))
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: provenance is not valid JSON") from exc
         j = h * w
         bases = []
         for _ in range(count):
-            (class_id,) = struct.unpack("<I", _read_exact(stream, 4, "class id"))
-            (code_len,) = struct.unpack("<I", _read_exact(stream, 4, "code size"))
-            code = _read_exact(stream, code_len, "class code").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(stream, 8, "rank"))
+            (class_id,) = struct.unpack("<I", read_exact(stream, 4, "class id"))
+            (code_len,) = struct.unpack("<I", read_exact(stream, 4, "code size"))
+            code = read_exact(stream, code_len, "class code").decode("utf-8")
+            (rank,) = struct.unpack("<Q", read_exact(stream, 8, "rank"))
             if not 1 <= rank <= j:
                 raise DataFormatError(f"{path}: class {code}: bad rank {rank}")
             mean = _read_array(stream, (j,), f"class {code} mean")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import convnet
 from .basis import (
-    build_class_basis,
     build_library,
+    fit_classes,
     load_library,
     save_factors,
     save_library,
@@ -198,29 +198,24 @@ def cmd_build_basis(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _, split = _load_split(args)
-    grouped: dict[int, list] = {}
-    labels = {}
-    for image, label in split.train:
-        grouped.setdefault(label.id, []).append(image)
-        labels[label.id] = label
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for class_id in sorted(grouped):
-        label = labels[class_id]
-        basis, svd, notes = build_class_basis(grouped[class_id], label)
+    for fit in fit_classes(split.train):
+        code = fit.label.code
+        basis, notes = fit.basis()
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
-        if svd is None:
-            print(f"{label.code}: degenerate ensemble, canonical basis")
+        if fit.svd is None:
+            print(f"{code}: degenerate ensemble, canonical basis")
             continue
-        lead = " ".join(f"{v:.4g}" for v in svd.values[:6])
+        lead = " ".join(f"{v:.4g}" for v in fit.svd.values[:6])
         print(
-            f"{label.code}: frames={len(grouped[class_id])} rank={svd.rank} "
+            f"{code}: frames={fit.shape[1]} rank={fit.svd.rank} "
             f"kept={basis.rank} leading sigma: {lead}"
         )
         if out_dir is not None:
-            save_factors(svd, out_dir / f"{label.code}.factors")
+            save_factors(fit.svd, out_dir / f"{code}.factors")
     if out_dir is not None:
         print(f"wrote factors under {out_dir}")
     return 0

@@ -18,11 +18,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError, read_exact
 
 CHECKPOINT_MAGIC = b"EHCN"
 CHECKPOINT_VERSION = 1
@@ -458,13 +458,6 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    data = stream.read(count)
-    if len(data) != count:
-        raise DataFormatError(f"truncated checkpoint while reading {what}")
-    return data
-
-
 def save_checkpoint(arch: Architecture, params: Params, path: str | Path) -> None:
     with open(path, "wb") as stream:
         stream.write(CHECKPOINT_MAGIC)
@@ -487,19 +480,19 @@ def save_checkpoint(arch: Architecture, params: Params, path: str | Path) -> Non
 def load_checkpoint(path: str | Path) -> tuple[Architecture, Params]:
     path = Path(path)
     with open(path, "rb") as stream:
-        magic = _read_exact(stream, 4, "magic")
+        magic = read_exact(stream, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(stream, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(stream, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        fields = struct.unpack("<8Q", _read_exact(stream, 64, "architecture"))
+        fields = struct.unpack("<8Q", read_exact(stream, 64, "architecture"))
         h, w, c1, c2, c3, hidden, classes, seed = (int(v) for v in fields)
         arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
         arrays = []
         for name, shape in param_shapes(arch).items():
             count = int(np.prod(shape))
-            data = _read_exact(stream, 8 * count, name)
+            data = read_exact(stream, 8 * count, name)
             arrays.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
         if stream.read(1):
             raise DataFormatError(f"{path}: trailing bytes after parameters")

@@ -234,33 +234,6 @@ class SyntheticSpec:
         )
 
 
-def validate_image(image: np.ndarray, where: str = "image") -> np.ndarray:
-    """Check the stored-image contract: 2-D, float64, finite, within [0, 1]."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise DataFormatError(f"{where}: expected 2-D pixels, got shape {image.shape}")
-    if not np.isfinite(image).all():
-        raise DataFormatError(f"{where}: non-finite pixel values")
-    if image.min() < 0.0 or image.max() > 1.0:
-        raise DataFormatError(f"{where}: pixel values outside [0, 1]")
-    return np.asarray(image, dtype=np.float64)
-
-
-def flatten_image(image: np.ndarray) -> np.ndarray:
-    """Row-major scan of a frame into a length h*w vector."""
-    return np.asarray(image, dtype=np.float64).reshape(-1)
-
-
-def unflatten_image(vector: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`flatten_image` for the given (height, width)."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.size != shape[0] * shape[1]:
-        raise DataFormatError(
-            f"vector of length {vector.size} does not fit shape {shape}"
-        )
-    return vector.reshape(shape)
-
-
 def assemble_snapshot_matrix(frames: Sequence[np.ndarray]) -> np.ndarray:
     """Stack flattened frames as the columns of a J x K matrix."""
     if len(frames) == 0:
@@ -296,14 +269,12 @@ def class_roster(samples: Iterable[Sample]) -> tuple[ClassLabel, ...]:
 _FRAME_RE = re.compile(r"^\d+\.pgm$")
 
 
-def load_dataset(root: str | Path, layout: str = "class/sample/frame") -> list[Sample]:
+def load_dataset(root: str | Path) -> list[Sample]:
     """Load a ``<root>/<class_code>/<sample_id>/<index>.pgm`` tree.
 
     Classes get ids in sorted directory order; frames are sorted by
     filename and rescaled from 8-bit storage to [0, 1].
     """
-    if layout != "class/sample/frame":
-        raise ConfigError(f"unsupported dataset layout {layout!r}")
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} does not exist")
@@ -355,7 +326,11 @@ def write_manifest(split: DatasetSplit, path: str | Path) -> None:
 def split_from_manifest(
     samples: Sequence[Sample], path: str | Path, view: str = ""
 ) -> DatasetSplit:
-    """Rebuild a split from a manifest file, in manifest line order."""
+    """Rebuild a split from a manifest file, in manifest line order.
+
+    Each ``(class, sample, frame)`` may appear once in the whole manifest,
+    and no sample may feed both ``unseen`` and a training partition.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest {path} does not exist")
@@ -365,6 +340,7 @@ def split_from_manifest(
     by_key = {(s.label.code, s.sample_id): s for s in samples}
     parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
     origins: dict[str, list[Origin]] = {name: [] for name in PARTITIONS}
+    first_line: dict[tuple[str, str, int], int] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
             continue
@@ -377,11 +353,22 @@ def split_from_manifest(
         sample = by_key.get((code, sample_id))
         if sample is None:
             raise DataError(f"{path}:{lineno}: no sample {code}/{sample_id} in data")
-        frame_idx = int(frame_tok)
+        try:
+            frame_idx = int(frame_tok)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: frame index {frame_tok!r} is not an integer"
+            ) from None
         if not 0 <= frame_idx < len(sample.frames):
             raise DataError(
                 f"{path}:{lineno}: frame {frame_idx} out of range for "
                 f"{code}/{sample_id}"
+            )
+        seen = first_line.setdefault((code, sample_id, frame_idx), lineno)
+        if seen != lineno:
+            raise DataFormatError(
+                f"{path}:{lineno}: frame {frame_idx} of {code}/{sample_id} "
+                f"already listed at line {seen}"
             )
         parts[part].append((sample.frames[frame_idx], sample.label))
         origins[part].append((sample_id, frame_idx))

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus the exact-read
+helper every binary container reader uses.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError (and subclasses) -> 3, NumericError -> 4.
 """
+
+from typing import BinaryIO
 
 
 class PodClassError(Exception):
@@ -31,3 +34,11 @@ class RosterError(DataError):
 
 class NumericError(PodClassError):
     """Non-finite values or a failed matrix decomposition."""
+
+
+def read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
+    """Read exactly ``count`` bytes; a short read is a truncated file."""
+    data = stream.read(count)
+    if len(data) != count:
+        raise DataFormatError(f"truncated file while reading {what}")
+    return data

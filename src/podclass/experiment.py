@@ -3,10 +3,11 @@
 One experiment takes a partitioned dataset and runs a set of arms: the
 raw images, plus one arm per truncation rule in which every frame is
 replaced by its projection onto its own class's subspace (built from the
-train partition only). Each arm gets a deterministic nearest-subspace
-baseline on the unprojected images and ``runs`` independent network
-trainings whose seeds are base seed + run index; accuracies are
-aggregated as mean and sample deviation per partition.
+train partition only; each class is fitted once and truncated per arm).
+Each arm gets a deterministic nearest-subspace baseline on the
+unprojected images, the warnings of the library behind it, and ``runs``
+independent network trainings whose seeds are base seed + run index;
+accuracies are aggregated as mean and sample deviation per partition.
 
 Reports carry no timestamps and serialize with sorted keys, so the same
 inputs produce byte-identical reports.
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import convnet
-from .basis import BasisLibrary, build_library, project_pairs
+from .basis import BasisLibrary, fit_classes, library_from_fits, project_pairs
 from .dataset import DatasetSplit, Pair, partition_arrays
 from .errors import ConfigError
 from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
@@ -144,6 +145,21 @@ def _network_runs(
     return {"runs": runs, "aggregate": aggregates}
 
 
+def _libraries(
+    split: DatasetSplit, rules: Sequence[TruncationRule]
+) -> list[BasisLibrary]:
+    """One library per rule, all truncated from a single fit per class of
+    the train partition; the untruncated fits do not outlive the call."""
+    fits = fit_classes(split.train)
+    return [
+        library_from_fits(
+            fits, split.metadata.frame_shape, rule.rank, rule.tolerance,
+            source="train partition",
+        )
+        for rule in rules
+    ]
+
+
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     """Execute every arm and assemble the deterministic report."""
     if not split.train:
@@ -163,9 +179,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
 
     # Raw arm: unprocessed images. Its baseline still needs subspaces, so
     # it borrows a hard-threshold library; the network sees raw pixels.
-    raw_library = build_library(
-        split.train, split.metadata.frame_shape, source="train partition"
-    )
+    raw_library, *rule_libraries = _libraries(split, (TruncationRule(),) + config.rules)
     raw_data = {
         name: partition_arrays(pairs) for name, pairs in raw_parts.items() if pairs
     }
@@ -175,17 +189,11 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
         "baseline_ranks": {b.label.code: b.rank for b in raw_library.bases},
         "baseline": baseline_report(raw_library, split),
         "network": _network_runs(arch_seedless, raw_data, config),
+        "warnings": raw_library.provenance["warnings"],
     }
     order.append("raw")
 
-    for rule in config.rules:
-        library = build_library(
-            split.train,
-            split.metadata.frame_shape,
-            rank=rule.rank,
-            tolerance=rule.tolerance,
-            source="train partition",
-        )
+    for rule, library in zip(config.rules, rule_libraries):
         data = {
             name: partition_arrays(project_pairs(library, pairs))
             for name, pairs in raw_parts.items()
@@ -197,6 +205,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
             "ranks": {b.label.code: b.rank for b in library.bases},
             "baseline": baseline_report(library, split),
             "network": _network_runs(arch_seedless, data, config),
+            "warnings": library.provenance["warnings"],
         }
         order.append(rule.arm_name)
 

@@ -1,10 +1,9 @@
-"""Thin SVD of tall snapshot matrices and truncation-rank selection.
+"""Thin SVD of snapshot matrices and truncation-rank selection.
 
-For a J x K matrix A with J >> K the thin SVD A = W diag(sigma) T^T is
-cheapest through the K x K Gram matrix A^T A: its eigenvectors are the
-right singular vectors and W follows as A t / sigma column by column
-(the classical method of snapshots). Both routes land on one sign
-convention so results are comparable bit for bit.
+The factors come from LAPACK's SVD of the matrix itself, never from the
+eigenvectors of its Gram matrix, whose squared spectrum halves the usable
+precision. Modes are reported under one sign convention so results are
+comparable bit for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-# Columns with sigma <= RELATIVE_CUTOFF * sigma_1 carry no usable direction
-# through the Gram route (t / sigma blows up) and are dropped.
+# Modes with sigma <= RELATIVE_CUTOFF * sigma_1 are numerical zeros (the
+# direction that mean-centering removes, for one) and are dropped.
 RELATIVE_CUTOFF = 1e-12
-
-# The Gram route costs O(JK^2 + K^3) against O(JK^2) with a larger constant
-# for direct bidiagonalization; it wins clearly once the matrix is tall.
-GRAM_ASPECT = 4
 
 
 @dataclass(frozen=True)
@@ -52,51 +47,13 @@ def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
             coeffs[:, k] = -coeffs[:, k]
 
 
-def _validate(matrix: np.ndarray) -> np.ndarray:
+def thin_svd(matrix: np.ndarray) -> ThinSVD:
+    """Thin SVD with zero-modes dropped and the sign convention applied."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ConfigError(f"need a nonempty 2-D matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise NumericError("matrix contains non-finite entries")
-    return matrix
-
-
-def _thin_svd_gram(matrix: np.ndarray) -> ThinSVD:
-    j, k = matrix.shape
-    gram = matrix.T @ matrix
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    values = np.sqrt(np.clip(eigvals, 0.0, None))
-    # Squaring halves the usable precision: eigenvalue noise sits at
-    # k * eps * lambda_1, so sigma below sqrt(k * eps) * sigma_1 is
-    # indistinguishable from zero here (a stricter floor than the direct
-    # route's RELATIVE_CUTOFF; the factor keeps the cutoff clear of the
-    # noise shelf itself).
-    cutoff = max(RELATIVE_CUTOFF, 10.0 * np.sqrt(k * np.finfo(np.float64).eps))
-    keep = values > cutoff * values[0] if values[0] > 0 else values > 0
-    r = min(int(np.count_nonzero(keep)), j, k)
-    if r == 0:
-        raise NumericError("matrix is numerically zero; no singular modes")
-    values = values[:r]
-    coeffs = eigvecs[:, :r]
-    modes = (matrix @ coeffs) / values
-    # Gram eigenvectors of near-equal eigenvalues lose orthogonality in the
-    # lifted modes; one Gram-Schmidt pass restores it without moving the
-    # well-separated columns.
-    for c in range(r):
-        for p in range(c):
-            modes[:, c] -= (modes[:, p] @ modes[:, c]) * modes[:, p]
-        norm = np.linalg.norm(modes[:, c])
-        if norm <= 0:
-            raise NumericError("degenerate mode during orthogonalization")
-        modes[:, c] /= norm
-    _fix_signs(modes, coeffs)
-    return ThinSVD(modes=modes, values=values, coeffs=coeffs)
-
-
-def _thin_svd_direct(matrix: np.ndarray) -> ThinSVD:
     modes, values, vt = np.linalg.svd(matrix, full_matrices=False)
     keep = values > RELATIVE_CUTOFF * values[0] if values[0] > 0 else values > 0
     r = int(np.count_nonzero(keep))
@@ -107,22 +64,6 @@ def _thin_svd_direct(matrix: np.ndarray) -> ThinSVD:
     values = values[:r].copy()
     _fix_signs(modes, coeffs)
     return ThinSVD(modes=modes, values=values, coeffs=coeffs)
-
-
-def thin_svd(matrix: np.ndarray, method: str = "auto") -> ThinSVD:
-    """Thin SVD with zero-modes dropped and the sign convention applied.
-
-    ``method`` is "auto" (Gram route when J > 4K), "gram", or "direct".
-    """
-    matrix = _validate(matrix)
-    j, k = matrix.shape
-    if method == "auto":
-        method = "gram" if j > GRAM_ASPECT * k else "direct"
-    if method == "gram":
-        return _thin_svd_gram(matrix)
-    if method == "direct":
-        return _thin_svd_direct(matrix)
-    raise ConfigError(f"unknown SVD method {method!r}")
 
 
 def truncate(svd: ThinSVD, rank: int) -> ThinSVD:
@@ -165,9 +106,9 @@ def gavish_donoho_omega(beta: float) -> float:
     return 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
 
 
-def rank_by_hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> int:
-    """Optimal-hard-threshold rank for unknown noise: keep singular values
-    above omega(beta) times the median singular value. Never returns 0."""
+def hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> float:
+    """Optimal hard threshold for unknown noise: omega(beta) times the
+    median singular value of a matrix of the given shape."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise NumericError("empty spectrum")
@@ -175,8 +116,13 @@ def rank_by_hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> int:
     if j < 1 or k < 1:
         raise ConfigError(f"bad matrix shape {shape}")
     beta = min(j, k) / max(j, k)
-    threshold = gavish_donoho_omega(beta) * float(np.median(values))
-    rank = int(np.count_nonzero(values > threshold))
+    return gavish_donoho_omega(beta) * float(np.median(values))
+
+
+def rank_by_hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> int:
+    """Keep the singular values above :func:`hard_threshold`. Never returns 0."""
+    threshold = hard_threshold(values, shape)
+    rank = int(np.count_nonzero(np.asarray(values) > threshold))
     return max(rank, 1)
 
 

@@ -4,8 +4,8 @@ import pytest
 from podclass.basis import (
     BasisLibrary,
     ClassBasis,
-    build_class_basis,
     build_library,
+    fit_class,
     load_factors,
     load_library,
     project_pairs,
@@ -14,9 +14,11 @@ from podclass.basis import (
 )
 from podclass.dataset import ClassLabel
 from podclass.errors import ConfigError, DataFormatError
-from podclass.svd import thin_svd
+from podclass.svd import hard_threshold, thin_svd
 
 from oracles import principal_angle_cosines
+
+LABEL = ClassLabel(0, "A")
 
 
 def make_class_frames(rng, n=20, side=8, rank=3):
@@ -30,21 +32,21 @@ def make_class_frames(rng, n=20, side=8, rank=3):
 
 def test_mean_is_frame_average(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(rank=2)
     stacked = np.stack([f.reshape(-1) for f in frames])
     assert np.allclose(basis.mean, stacked.mean(axis=0), atol=1e-12)
 
 
 def test_modes_orthonormal(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(rank=3)
     gram = basis.modes.T @ basis.modes
     assert np.abs(gram - np.eye(basis.rank)).max() <= 1e-10
 
 
 def test_projection_is_idempotent(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(rank=3)
     x = rng.uniform(0, 1, size=basis.mean.size)
     once = basis.project(x)
     twice = basis.project(once)
@@ -53,14 +55,14 @@ def test_projection_is_idempotent(rng):
 
 def test_projection_restores_mean(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(rank=2)
     projected = basis.project(basis.mean)
     assert np.abs(projected - basis.mean).max() <= 1e-12
 
 
 def test_projection_error_orthogonal_to_modes(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(rank=3)
     x = rng.uniform(0, 1, size=basis.mean.size)
     err = x - basis.project(x)
     assert np.abs(basis.modes.T @ err).max() <= 1e-10
@@ -68,14 +70,14 @@ def test_projection_error_orthogonal_to_modes(rng):
 
 def test_projection_of_span_member_is_identity(rng):
     frames = make_class_frames(rng, rank=2)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(rank=2)
     inside = basis.mean + basis.modes @ rng.normal(size=basis.rank)
     assert np.abs(basis.project(inside) - inside).max() <= 1e-10
 
 
 def test_residual_is_distance_to_projection(rng):
     frames = make_class_frames(rng)
-    basis, _, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(rank=3)
     x = rng.uniform(0, 1, size=basis.mean.size)
     expected = np.linalg.norm(x - basis.project(x))
     assert abs(basis.residuals(x) - expected) <= 1e-12
@@ -93,17 +95,19 @@ def test_projection_may_leave_unit_range():
 
 def test_modes_span_matches_centered_svd(rng):
     frames = make_class_frames(rng, rank=4)
-    basis, svd, _ = build_class_basis(frames, ClassLabel(0, "A"), rank=3)
-    assert svd is not None
-    cos = principal_angle_cosines(basis.modes, svd.modes[:, :3])
+    fit = fit_class(frames, LABEL)
+    basis, _ = fit.basis(rank=3)
+    assert fit.svd is not None
+    cos = principal_angle_cosines(basis.modes, fit.svd.modes[:, :3])
     assert np.abs(cos - 1.0).max() <= 1e-9
 
 
 def test_degenerate_ensemble_falls_back(rng):
     frame = rng.uniform(0, 1, size=(6, 6))
     frames = [frame.copy() for _ in range(8)]
-    basis, svd, warnings = build_class_basis(frames, ClassLabel(0, "A"))
-    assert svd is None
+    fit = fit_class(frames, LABEL)
+    basis, warnings = fit.basis()
+    assert fit.svd is None
     assert basis.rank == 1
     canonical = np.zeros(36)
     canonical[0] = 1.0
@@ -113,9 +117,34 @@ def test_degenerate_ensemble_falls_back(rng):
 
 def test_rank_capping_warns(rng):
     frames = make_class_frames(rng, n=5, rank=2)
-    basis, svd, warnings = build_class_basis(frames, ClassLabel(0, "A"), rank=50)
-    assert basis.rank == svd.rank
+    fit = fit_class(frames, LABEL)
+    basis, warnings = fit.basis(rank=50)
+    assert basis.rank == fit.svd.rank
     assert any("capped" in w for w in warnings)
+
+
+def test_hard_threshold_fallback_warns_only_below_the_noise_edge(rng):
+    j, k, planted = 300, 80, 4
+    left = np.linalg.qr(rng.normal(size=(j, planted)))[0]
+    right = np.linalg.qr(rng.normal(size=(k, planted)))[0]
+    signal = 0.5 + left @ np.diag([9.0, 8.0, 7.0, 6.0]) @ right.T
+    noisy = signal + rng.normal(0, 1e-3, size=(j, k))
+    basis, warnings = fit_class(list(noisy.T.reshape(k, 15, 20)), LABEL).basis()
+    assert basis.rank == planted
+    assert warnings == []
+
+    noise_only = [rng.normal(0.5, 0.25, size=(15, 20)) for _ in range(k)]
+    fit = fit_class(noise_only, LABEL)
+    basis, warnings = fit.basis()
+    assert basis.rank == 1
+    sigma = fit.svd.values
+    threshold = hard_threshold(sigma, (j, k))
+    assert sigma[0] <= threshold
+    assert warnings == [
+        f"class A: no singular value above the hard threshold {threshold:.4g} "
+        f"(median sigma {np.median(sigma):.4g}, sigma_1 {sigma[0]:.4g}); "
+        "fell back to rank 1"
+    ]
 
 
 # -- library -----------------------------------------------------------------

@@ -147,3 +147,29 @@ def test_corrupt_data_exit_3(tmp_path):
     (root / "C0" / "s00").mkdir(parents=True)
     (root / "C0" / "s00" / "0000.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     assert main(["ingest-check", "--data", str(root)]) == 3
+
+
+def _leak_train_frame_into_test(lines):
+    train = next(line for line in lines if line.startswith("train\t"))
+    return lines + ["test" + train[len("train"):]]
+
+
+def _garble_frame_token(lines):
+    part, code, sample, _ = lines[0].split("\t")
+    return ["\t".join((part, code, sample, "x1"))] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "edit, lineno",
+    [(_leak_train_frame_into_test, None), (_garble_frame_token, 1)],
+    ids=["duplicate-frame", "non-integer-frame"],
+)
+def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit, lineno):
+    lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    edited = edit(lines)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    args = ["ingest-check", "--data", str(data_dir), "--manifest", str(manifest)]
+    assert main(args) == 3
+    lineno = lineno or len(edited)
+    assert capsys.readouterr().err.startswith(f"error: {manifest}:{lineno}: ")

@@ -1,7 +1,7 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from podclass.dataset import (
     ClassLabel,
@@ -9,13 +9,11 @@ from podclass.dataset import (
     SplitPolicy,
     SyntheticSpec,
     assemble_snapshot_matrix,
-    flatten_image,
     generate_synthetic,
     group_by_class,
     load_dataset,
     split_dataset,
     split_from_manifest,
-    unflatten_image,
     write_manifest,
     write_samples,
 )
@@ -34,27 +32,6 @@ def make_samples(n_classes=2, n_samples=4, n_frames=6, side=8, seed=0):
 
 
 # -- images and snapshot matrices -------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    h=st.integers(min_value=1, max_value=12),
-    w=st.integers(min_value=1, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_flatten_unflatten_bijection(h, w, seed):
-    image = np.random.default_rng(seed).uniform(0, 1, size=(h, w))
-    assert np.array_equal(unflatten_image(flatten_image(image), (h, w)), image)
-
-
-def test_flatten_is_row_major():
-    image = np.arange(6, dtype=float).reshape(2, 3)
-    assert np.array_equal(flatten_image(image), np.arange(6, dtype=float))
-
-
-def test_unflatten_rejects_bad_length():
-    with pytest.raises(DataFormatError):
-        unflatten_image(np.zeros(5), (2, 3))
 
 
 def test_snapshot_matrix_columns_are_frames(rng):
@@ -220,6 +197,30 @@ def test_manifest_rejects_overlapping_unseen(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError):
+        split_from_manifest(samples, path)
+
+
+@pytest.mark.parametrize("second", ["train", "test"])
+def test_manifest_rejects_duplicate_frames(tmp_path, second):
+    samples = make_samples(n_classes=1, n_samples=2, n_frames=2)
+    lines = [
+        "train\tC0\ts00\t0000",
+        "train\tC0\ts00\t0001",
+        f"{second}\tC0\ts00\t0",
+    ]
+    path = tmp_path / "dup.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    where = re.escape(str(path))
+    with pytest.raises(DataFormatError, match=rf"^{where}:3: .* listed at line 1"):
+        split_from_manifest(samples, path)
+
+
+def test_manifest_rejects_non_integer_frame(tmp_path):
+    samples = make_samples(n_classes=1, n_samples=1, n_frames=2)
+    path = tmp_path / "bad.tsv"
+    path.write_text("train\tC0\ts00\t0000\ntrain\tC0\ts00\tx1\n")
+    where = re.escape(str(path))
+    with pytest.raises(DataFormatError, match=rf"^{where}:2: frame index 'x1'"):
         split_from_manifest(samples, path)
 
 

@@ -1,9 +1,18 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from podclass import basis, svd
 from podclass.basis import build_library
+from podclass.dataset import (
+    SplitPolicy,
+    SyntheticSpec,
+    generate_synthetic,
+    split_dataset,
+)
 from podclass.errors import ConfigError
 from podclass.experiment import (
     LEAK_NOTE,
@@ -111,3 +120,47 @@ def test_baseline_report_standalone(tiny_split):
     out = baseline_report(library, tiny_split)
     assert set(out) == {"validation", "test", "unseen"}
     assert out["unseen"]["accuracy"] == 1.0
+
+
+def _hard_and_fixed_config(rank: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        rules=(TruncationRule(), TruncationRule(rank=rank)),
+        runs=1,
+        epochs=1,
+        batch_size=64,
+        channels=(2, 2, 2),
+        hidden=4,
+    )
+
+
+def test_each_class_is_fitted_once_per_experiment(tiny_split, monkeypatch):
+    shapes = []
+
+    def counting_svd(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return svd.thin_svd(*args, **kwargs)
+
+    monkeypatch.setattr(basis, "thin_svd", counting_svd)
+    run_experiment(tiny_split, _hard_and_fixed_config(rank=2))
+    frames = len(tiny_split.train) // len(tiny_split.metadata.classes)
+    assert shapes == [(16 * 16, frames)] * len(tiny_split.metadata.classes)
+
+
+def test_rank_one_fallback_is_reported_per_arm():
+    config_file = Path(__file__).resolve().parent.parent / "configs" / "headline.cfg"
+    spec = replace(SyntheticSpec.from_config_file(config_file), class_count=2)
+    samples = generate_synthetic(spec)
+    split = split_dataset(samples, SplitPolicy.for_samples(samples), seed=spec.seed)
+    report = run_experiment(split, _hard_and_fixed_config(rank=2))
+    assert report["arms"]["raw"]["baseline_ranks"] == {"C0": 1, "C1": 1}
+    assert report["arms"]["projected-auto"]["ranks"] == {"C0": 1, "C1": 1}
+    for arm in ("raw", "projected-auto"):
+        warnings = report["arms"][arm]["warnings"]
+        assert [w.split(":")[0] for w in warnings] == ["class C0", "class C1"]
+        assert all("fell back to rank 1" in w for w in warnings)
+    assert report["arms"]["projected-r2"]["warnings"] == []
+
+
+def test_no_warnings_above_the_noise_edge(small_report):
+    for arm in small_report["arms"].values():
+        assert arm["warnings"] == []
