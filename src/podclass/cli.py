@@ -24,6 +24,7 @@ from .basis import (
     build_library,
     fit_classes,
     load_library,
+    project_pairs,
     save_factors,
     save_library,
 )
@@ -232,13 +233,11 @@ def cmd_project(args) -> int:
         source=f"train partition of {Path(args.data).name}",
     )
     out = Path(args.out)
-    h, w = library.frame_shape
     for sample in samples:
-        basis = library.basis_for(sample.label.id)
         sample_dir = out / sample.label.code / sample.sample_id
         sample_dir.mkdir(parents=True, exist_ok=True)
-        for k, frame in enumerate(sample.frames):
-            projected = basis.project(frame.reshape(-1)).reshape(h, w)
+        pairs = [(frame, sample.label) for frame in sample.frames]
+        for k, (projected, _) in enumerate(project_pairs(library, pairs)):
             write_pgm(sample_dir / f"{k:04d}.pgm", from_unit(projected))
     manifest = Path(args.manifest) if args.manifest else Path(args.data) / MANIFEST_NAME
     if manifest.is_file():
@@ -345,6 +344,9 @@ def cmd_experiment(args) -> int:
     report = run_experiment(split, config)
     for row in report["summary"]:
         print(row)
+    notes = [note for arm in report["arms"].values() for note in arm["warnings"]]
+    for note in dict.fromkeys(notes):
+        print(f"warning: {note}", file=sys.stderr)
     if args.out:
         save_report(report, args.out)
         print(f"wrote {args.out}")

@@ -7,10 +7,12 @@ backward passes; training is plain minibatch RMSprop. All randomness
 (initialization, epoch shuffles) flows from stored seeds, so a run is a
 pure function of its inputs.
 
-Convolutions avoid materializing patch matrices: a 3x3 kernel is nine
-(Cin, Cout) matrices, and the output is the sum of nine shifted
-batch-matrix products against the padded input. The backward pass reuses
-the same shifts.
+Convolutions are patch-matrix GEMMs (Chellapilla, Puri & Simard 2006):
+the padded batch is unrolled once into a (B*H*W, 9*Cin) matrix of 3x3
+patches and multiplied by the kernel reshaped to (9*Cin, Cout). The kernel
+gradient is one GEMM against the same patches; the input gradient is nine
+2-D GEMMs, one per kernel tap, added back at their shifts. Pooling works
+on the four window corners as strided views of the input.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataFormatError, NumericError, read_exact
 
@@ -138,33 +141,50 @@ def initialize(arch: Architecture) -> Params:
 # ---------------------------------------------------------------------------
 
 
+def _patches(xp: np.ndarray) -> np.ndarray:
+    """The (B*H*W, 9*Cin) patch matrix of a padded batch, columns in
+    (u, v, channel) order to match ``kernel.reshape(9 * Cin, Cout)``."""
+    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, Cin, 3, 3)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xp.shape[3])
+
+
 def conv3x3_forward(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same-padding stride-1 3x3 convolution; returns (output, padded input)."""
-    b, h, w, _ = x.shape
+    b, h, w, cin = x.shape
+    cout = kernel.shape[3]
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    out = np.broadcast_to(bias, (b, h, w, kernel.shape[3])).copy()
-    for u in range(3):
-        for v in range(3):
-            out += xp[:, u : u + h, v : v + w, :] @ kernel[u, v]
-    return out, xp
+    out = _patches(xp) @ kernel.reshape(9 * cin, cout)
+    out += bias
+    return out.reshape(b, h, w, cout), xp
 
 
 def conv3x3_backward(
     xp: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (input, kernel, bias) of the convolution above."""
-    b, h, w, _ = grad_out.shape
+    b, h, w, cout = grad_out.shape
+    cin = kernel.shape[2]
+    grad_rows = grad_out.reshape(-1, cout)
+    grad_kernel = (_patches(xp).T @ grad_rows).reshape(kernel.shape)
     grad_xp = np.zeros_like(xp)
-    grad_kernel = np.empty_like(kernel)
     for u in range(3):
         for v in range(3):
-            patch = xp[:, u : u + h, v : v + w, :]
-            grad_kernel[u, v] = np.tensordot(patch, grad_out, axes=([0, 1, 2],) * 2)
-            grad_xp[:, u : u + h, v : v + w, :] += grad_out @ kernel[u, v].T
-    grad_bias = grad_out.sum(axis=(0, 1, 2))
+            grad_xp[:, u : u + h, v : v + w, :] += (
+                grad_rows @ kernel[u, v].T
+            ).reshape(b, h, w, cin)
+    # the row sum as a GEMV: numpy's axis-0 sum is several times slower on
+    # the few wide columns of grad_rows
+    grad_bias = np.ones(grad_rows.shape[0]) @ grad_rows
     return grad_xp[:, 1:-1, 1:-1, :], grad_kernel, grad_bias
+
+
+def _corner_views(x: np.ndarray) -> list[np.ndarray]:
+    """The corners r0c0, r0c1, r1c0, r1c1 of every 2x2 window as strided
+    views of ``x``, odd trailing rows/columns left out."""
+    h, w = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    return [x[:, i:h:2, j:w:2, :] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,36 +194,20 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the first maximum in row-major window order (r0c0, r0c1, r1c0, r1c1);
     the backward pass routes the gradient only there.
     """
-    b, h, w, c = x.shape
-    hh, ww = h // 2, w // 2
-    windows = (
-        x[:, : 2 * hh, : 2 * ww, :]
-        .reshape(b, hh, 2, ww, 2, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(b, hh, ww, 4, c)
-    )
-    argmax = windows.argmax(axis=3)
-    pooled = np.take_along_axis(windows, argmax[:, :, :, None, :], axis=3)[
-        :, :, :, 0, :
-    ]
+    c0, c1, c2, c3 = _corner_views(x)
+    top, bottom = np.maximum(c0, c1), np.maximum(c2, c3)
+    pooled = np.maximum(top, bottom)
+    # ties go to the top row, then to the left column: the first maximum
+    argmax = np.where(top >= bottom, c1 > c0, (c3 > c2) + np.uint8(2))
     return pooled, argmax
 
 
 def maxpool_backward(
     grad_out: np.ndarray, argmax: np.ndarray, input_shape: tuple[int, ...]
 ) -> np.ndarray:
-    b, h, w, c = input_shape
-    hh, ww = h // 2, w // 2
-    windows = np.zeros((b, hh, ww, 4, c))
-    np.put_along_axis(
-        windows, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3
-    )
     grad = np.zeros(input_shape)
-    grad[:, : 2 * hh, : 2 * ww, :] = (
-        windows.reshape(b, hh, ww, 2, 2, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(b, 2 * hh, 2 * ww, c)
-    )
+    for k, corner in enumerate(_corner_views(grad)):
+        np.multiply(grad_out, argmax == k, out=corner)
     return grad
 
 
@@ -244,9 +248,9 @@ def forward(params: Params, images: np.ndarray) -> tuple[np.ndarray, dict]:
          (params.kernel3, params.bias3)),
         start=1,
     ):
-        pre, xp = conv3x3_forward(x, kernel, bias)
-        mask = pre > 0
-        act = pre * mask
+        act, xp = conv3x3_forward(x, kernel, bias)
+        mask = act > 0
+        act *= mask  # ReLU in place: one activation buffer per layer
         pooled, argmax = maxpool_forward(act)
         cache[f"conv{i}"] = (xp, mask, act.shape, argmax)
         x = pooled
@@ -291,8 +295,8 @@ def loss_and_gradients(
     grads_conv: list[tuple[np.ndarray, np.ndarray]] = []
     for i in (3, 2, 1):
         xp, mask, act_shape, argmax = cache[f"conv{i}"]
-        grad_act = maxpool_backward(grad_x, argmax, act_shape)
-        grad_pre = grad_act * mask
+        grad_pre = maxpool_backward(grad_x, argmax, act_shape)
+        grad_pre *= mask
         grad_x, grad_kernel, grad_bias = conv3x3_backward(
             xp, kernels[i - 1], grad_pre
         )

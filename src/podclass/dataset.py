@@ -353,12 +353,11 @@ def split_from_manifest(
         sample = by_key.get((code, sample_id))
         if sample is None:
             raise DataError(f"{path}:{lineno}: no sample {code}/{sample_id} in data")
-        try:
-            frame_idx = int(frame_tok)
-        except ValueError:
+        if not (frame_tok.isascii() and frame_tok.isdigit()):
             raise DataFormatError(
-                f"{path}:{lineno}: frame index {frame_tok!r} is not an integer"
-            ) from None
+                f"{path}:{lineno}: frame index {frame_tok!r} is not ASCII digits"
+            )
+        frame_idx = int(frame_tok)
         if not 0 <= frame_idx < len(sample.frames):
             raise DataError(
                 f"{path}:{lineno}: frame {frame_idx} out of range for "

@@ -87,6 +87,32 @@ def reference_conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     return out + bias
 
 
+def reference_conv3x3_backward(
+    x: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray
+):
+    """Direct-loop gradients (input, kernel, bias) of ``reference_conv3x3``
+    for the upstream gradient ``grad_out``: every output position sends its
+    gradient back through each of the nine taps."""
+    b, h, w, cin = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    grad_xp = np.zeros_like(xp)
+    grad_kernel = np.zeros_like(kernel)
+    for i in range(h):
+        for jj in range(w):
+            g = grad_out[:, i, jj, :]  # (b, cout)
+            for u in range(3):
+                for v in range(3):
+                    pixel = xp[:, i + u, jj + v, :]  # (b, cin)
+                    grad_kernel[u, v] += (
+                        pixel[:, :, None] * g[:, None, :]
+                    ).sum(axis=0)
+                    grad_xp[:, i + u, jj + v, :] += (
+                        kernel[u, v][None, :, :] * g[:, None, :]
+                    ).sum(axis=2)
+    grad_bias = grad_out.sum(axis=(0, 1, 2))
+    return grad_xp[:, 1:-1, 1:-1, :], grad_kernel, grad_bias
+
+
 def reference_maxpool(x: np.ndarray):
     """Direct 2x2 stride-2 max pooling (NHWC), truncating odd edges."""
     b, h, w, c = x.shape
@@ -98,6 +124,27 @@ def reference_maxpool(x: np.ndarray):
                 axis=(1, 2)
             )
     return out
+
+
+def reference_maxpool_backward(x: np.ndarray, grad_out: np.ndarray):
+    """Direct-loop max-pool gradient: each window's upstream gradient lands
+    on the first maximum in row-major window order; odd trailing
+    rows/columns get none."""
+    b, h, w, c = x.shape
+    grad = np.zeros(x.shape)
+    for n in range(b):
+        for i in range(h // 2):
+            for jj in range(w // 2):
+                for ch in range(c):
+                    window = [
+                        (x[n, 2 * i + r, 2 * jj + s, ch], r, s)
+                        for r in (0, 1)
+                        for s in (0, 1)
+                    ]
+                    top = max(value for value, _, _ in window)
+                    _, r, s = next(item for item in window if item[0] == top)
+                    grad[n, 2 * i + r, 2 * jj + s, ch] = grad_out[n, i, jj, ch]
+    return grad
 
 
 def finite_difference_gradients(loss_fn, arrays, step: float = 1e-5):

@@ -5,8 +5,9 @@ import pytest
 
 from podclass.cli import main
 from podclass.convnet import load_checkpoint
-from podclass.dataset import load_dataset
-from podclass.basis import load_library
+from podclass.dataset import load_dataset, split_from_manifest
+from podclass.basis import build_library, load_library, project_pairs
+from podclass.pgm import read_pgm
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,21 @@ def test_project_writes_clamped_tree(data_dir, tmp_path):
             assert frame.min() >= 0.0 and frame.max() <= 1.0
 
 
+def test_project_writes_project_pairs_output(data_dir, tmp_path):
+    out = tmp_path / "proj"
+    assert main(
+        ["project", "--data", str(data_dir), "--rank", "3", "--out", str(out)]
+    ) == 0
+    samples = load_dataset(data_dir)
+    split = split_from_manifest(samples, data_dir / "manifest.tsv")
+    library = build_library(split.train, split.metadata.frame_shape, rank=3)
+    sample = samples[-1]
+    ((projected, _),) = project_pairs(library, [(sample.frames[1], sample.label)])
+    expected = np.rint(np.clip(projected, 0.0, 1.0) * 255.0).astype(np.uint8)
+    written = read_pgm(out / sample.label.code / sample.sample_id / "0001.pgm")
+    assert np.array_equal(written, expected)
+
+
 def test_train_writes_outputs(data_dir, tmp_path):
     out = tmp_path / "model"
     assert main(
@@ -125,6 +141,34 @@ def test_experiment_writes_deterministic_report(data_dir, tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
     report = json.loads(r1.read_text())
     assert report["protocol"]["arm_order"] == ["raw", "projected-r3"]
+
+
+@pytest.fixture(scope="module")
+def noisy_dir(tmp_path_factory):
+    # noise far above the planted modes: the hard threshold keeps nothing
+    root = tmp_path_factory.mktemp("noisy")
+    spec = root / "spec.txt"
+    spec.write_text(
+        "classes=2\nframes=24\nside=16\nrank=2\nnoise=0.3\nseed=3\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", "--spec", str(spec), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def test_experiment_prints_library_warnings(noisy_dir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = [
+        "experiment", "--data", str(noisy_dir), "--runs", "1", "--epochs", "1",
+        "--batch", "16", "--arch", "2,4,4,8", "--out", str(out),
+    ]
+    assert main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    report = json.loads(out.read_text(encoding="utf-8"))
+    notes = {note for arm in report["arms"].values() for note in arm["warnings"]}
+    assert any("fell back to rank 1" in note for note in notes)
+    # the raw and projected-auto arms share their warnings: each prints once
+    assert sorted(lines) == sorted(f"warning: {note}" for note in notes)
 
 
 def test_bad_arguments_exit_2(data_dir):
@@ -159,17 +203,42 @@ def _garble_frame_token(lines):
     return ["\t".join((part, code, sample, "x1"))] + lines[1:]
 
 
+def _frame_token(token):
+    # int() reads the token as frame 1, so the edited line keeps its frame
+    def edit(lines):
+        k = next(i for i, line in enumerate(lines) if line.endswith("\t0001"))
+        part, code, sample, _ = lines[k].split("\t")
+        return lines[:k] + ["\t".join((part, code, sample, token))] + lines[k + 1 :]
+
+    return edit
+
+
 @pytest.mark.parametrize(
-    "edit, lineno",
-    [(_leak_train_frame_into_test, None), (_garble_frame_token, 1)],
-    ids=["duplicate-frame", "non-integer-frame"],
+    "edit",
+    [
+        _leak_train_frame_into_test,
+        _garble_frame_token,
+        _frame_token("0_1"),
+        _frame_token(" 1"),
+        _frame_token("+1"),
+    ],
+    ids=[
+        "duplicate-frame",
+        "non-integer-frame",
+        "underscore-frame",
+        "space-frame",
+        "plus-frame",
+    ],
 )
-def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit, lineno):
+def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit):
     lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
     edited = edit(lines)
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("\n".join(edited) + "\n", encoding="utf-8")
     args = ["ingest-check", "--data", str(data_dir), "--manifest", str(manifest)]
     assert main(args) == 3
-    lineno = lineno or len(edited)
+    # the error names the first edited line
+    lineno = next(
+        n for n, (new, old) in enumerate(zip(edited, lines + [None]), 1) if new != old
+    )
     assert capsys.readouterr().err.startswith(f"error: {manifest}:{lineno}: ")

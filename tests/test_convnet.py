@@ -25,7 +25,9 @@ from podclass.errors import ConfigError, DataFormatError
 from oracles import (
     finite_difference_gradients,
     reference_conv3x3,
+    reference_conv3x3_backward,
     reference_maxpool,
+    reference_maxpool_backward,
     relative_error,
 )
 
@@ -60,6 +62,64 @@ def test_conv_backward_matches_finite_differences(rng):
     assert np.abs(gx - fx).max() <= 1e-6
     assert np.abs(gk - fk).max() <= 1e-6
     assert np.abs(gb - fb).max() <= 1e-6
+
+
+# Odd frame sides exercise the edges that the workloads' even frames never
+# reach. The convolution tolerance is float64 rounding over sums of at most
+# B*H*W = 144 products of unit-scale normals (about 144 * 2.2e-16 * 12, or
+# 4e-13).
+LAYER_SHAPES = pytest.mark.parametrize(
+    "cin, h, w", [(1, 7, 5), (3, 7, 5), (1, 6, 8), (3, 6, 8)]
+)
+
+
+@LAYER_SHAPES
+def test_conv_forward_matches_loop_reference(rng, cin, h, w):
+    x = rng.normal(size=(3, h, w, cin))
+    kernel = rng.normal(size=(3, 3, cin, 4))
+    bias = rng.normal(size=4)
+    ours, xp = conv3x3_forward(x, kernel, bias)
+    assert np.abs(ours - reference_conv3x3(x, kernel, bias)).max() <= 1e-12
+    assert np.array_equal(xp[:, 1:-1, 1:-1, :], x)
+
+
+@LAYER_SHAPES
+def test_conv_backward_matches_loop_reference(rng, cin, h, w):
+    x = rng.normal(size=(3, h, w, cin))
+    kernel = rng.normal(size=(3, 3, cin, 4))
+    bias = rng.normal(size=4)
+    grad_out = rng.normal(size=(3, h, w, 4))
+    _, xp = conv3x3_forward(x, kernel, bias)
+    ours = conv3x3_backward(xp, kernel, grad_out)
+    expected = reference_conv3x3_backward(x, kernel, grad_out)
+    for got, want in zip(ours, expected):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def _tied_input(rng, h, w):
+    # three intensity levels: most windows hold a tie somewhere
+    return rng.integers(0, 3, size=(3, h, w, 4)).astype(np.float64)
+
+
+@pytest.mark.parametrize("h, w", [(7, 5), (6, 8)])
+def test_maxpool_forward_picks_first_max_under_ties(rng, h, w):
+    x = _tied_input(rng, h, w)
+    pooled, argmax = maxpool_forward(x)
+    assert np.array_equal(pooled, reference_maxpool(x))
+    # argmax is the row-major position (0..3) of the window's first maximum
+    for n, i, j, c in np.ndindex(*argmax.shape):
+        window = list(x[n, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, c].reshape(-1))
+        assert argmax[n, i, j, c] == window.index(max(window))
+
+
+@pytest.mark.parametrize("h, w", [(7, 5), (6, 8)])
+def test_maxpool_backward_routes_to_first_max_under_ties(rng, h, w):
+    x = _tied_input(rng, h, w)
+    pooled, argmax = maxpool_forward(x)
+    grad_out = rng.normal(size=pooled.shape)
+    grad = maxpool_backward(grad_out, argmax, x.shape)
+    assert np.array_equal(grad, reference_maxpool_backward(x, grad_out))
 
 
 def test_maxpool_matches_reference(rng):
