@@ -10,6 +10,7 @@ import numpy as np
 
 from podclass.basis import fit_class
 from podclass.dataset import SyntheticSpec, generate_synthetic, group_by_class
+from podclass.svd import TruncationRule
 
 side, rank, noise = 24, 4, 0.15
 clean_spec = SyntheticSpec(
@@ -25,7 +26,7 @@ clean = [f for s in generate_synthetic(clean_spec) for f in s.frames]
 noisy = [f for s in generate_synthetic(noisy_spec) for f in s.frames]
 
 label = next(iter(group_by_class(generate_synthetic(noisy_spec))))
-basis, _ = fit_class(noisy[:40], label).basis(rank=rank)
+basis, _ = fit_class(noisy[:40], label).basis(TruncationRule(rank=rank))
 print(f"built rank-{basis.rank} basis from 40 noisy frames "
       f"({side}x{side} pixels)")
 

@@ -51,11 +51,12 @@ from .errors import (
     NumericError,
     PodClassError,
 )
-from .experiment import ExperimentConfig, TruncationRule, run_experiment, save_report
+from .experiment import ExperimentConfig, run_experiment, save_report
 from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
 from .subspace import classify, classify_pairs, residual_matrix
 from .svd import (
     ThinSVD,
+    TruncationRule,
     gavish_donoho_omega,
     rank_by_hard_threshold,
     rank_for_energy,

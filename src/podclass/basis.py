@@ -11,6 +11,7 @@ when exported to 8-bit storage.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,8 +26,9 @@ from .errors import (
     DataFormatError,
     NumericError,
     read_exact,
+    read_utf8,
 )
-from .svd import ThinSVD, hard_threshold, select_rank, thin_svd, truncate
+from .svd import ThinSVD, TruncationRule, thin_svd, truncate
 
 FACTORS_MAGIC = b"EIGH"
 LIBRARY_MAGIC = b"EIGB"
@@ -111,7 +113,7 @@ class ClassFit:
     """Mean and centered thin SVD of one class's J x K snapshot matrix.
 
     Fitting is the expensive step; :meth:`basis` truncates a fit under any
-    rank rule without touching the frames again. ``svd`` is None for an
+    truncation rule without touching the frames again. ``svd`` is None for an
     ensemble of identical frames, whose centered matrix is zero.
     """
 
@@ -121,11 +123,10 @@ class ClassFit:
     shape: tuple[int, int]
 
     def basis(
-        self, rank: int | None = None, tolerance: float | None = None
+        self, rule: TruncationRule = TruncationRule()
     ) -> tuple[ClassBasis, list[str]]:
-        """Keep the leading modes under a rank rule: explicit rank, else
-        energy tolerance, else the hard threshold. Returns the basis and
-        any warnings.
+        """Keep the leading modes under ``rule``. Returns the basis and any
+        warnings.
 
         A degenerate ensemble falls back to the canonical first-coordinate
         mode so every class always offers at least one direction.
@@ -140,23 +141,12 @@ class ClassFit:
                 f"class {code}: all {k} frames identical; "
                 "using canonical one-mode basis"
             ]
-        svd = self.svd
-        kept = truncate(svd, select_rank(svd, self.shape, rank, tolerance))
-        warnings = []
-        if rank is not None and rank > svd.rank:
-            warnings.append(f"class {code}: requested rank {rank} capped at {svd.rank}")
-        if rank is None and tolerance is None:
-            threshold = hard_threshold(svd.values, self.shape)
-            if svd.values[0] <= threshold:
-                warnings.append(
-                    f"class {code}: no singular value above the hard threshold "
-                    f"{threshold:.4g} (median sigma {np.median(svd.values):.4g}, "
-                    f"sigma_1 {svd.values[0]:.4g}); fell back to rank 1"
-                )
+        rank, note = rule.select(self.svd, self.shape)
+        kept = truncate(self.svd, rank)
         basis = ClassBasis(
             self.label, self.mean, kept.modes.copy(), values=kept.values.copy()
         )
-        return basis, warnings
+        return basis, [] if note is None else [f"class {code}: {note}"]
 
 
 def fit_class(frames: Sequence[np.ndarray], label: ClassLabel) -> ClassFit:
@@ -183,25 +173,18 @@ def fit_classes(pairs: Sequence[Pair]) -> list[ClassFit]:
 def library_from_fits(
     fits: Sequence[ClassFit],
     frame_shape: tuple[int, int],
-    rank: int | None = None,
-    tolerance: float | None = None,
+    rule: TruncationRule,
     source: str = "",
 ) -> BasisLibrary:
-    """One basis per class fit, all truncated under the same rank rule."""
+    """One basis per class fit, all truncated under the same rule."""
     bases = []
     warnings: list[str] = []
     for fit in fits:
-        basis, notes = fit.basis(rank, tolerance)
+        basis, notes = fit.basis(rule)
         bases.append(basis)
         warnings.extend(notes)
-    if rank is not None:
-        rule = {"kind": "fixed", "rank": rank}
-    elif tolerance is not None:
-        rule = {"kind": "energy", "tolerance": tolerance}
-    else:
-        rule = {"kind": "hard-threshold"}
     provenance = {
-        "rank_rule": rule,
+        "rank_rule": rule.describe(),
         "ranks": {b.label.code: b.rank for b in bases},
         "training_frames": {fit.label.code: fit.shape[1] for fit in fits},
         "source": source,
@@ -217,8 +200,11 @@ def build_library(
     tolerance: float | None = None,
     source: str = "",
 ) -> BasisLibrary:
-    """One basis per class from labeled frames (normally the train split)."""
-    return library_from_fits(fit_classes(pairs), frame_shape, rank, tolerance, source)
+    """One basis per class from labeled frames (normally the train split),
+    truncated to ``rank`` modes, to the energy ``tolerance``, or (neither
+    given) at the hard threshold."""
+    rule = TruncationRule(rank, tolerance)
+    return library_from_fits(fit_classes(pairs), frame_shape, rule, source)
 
 
 def project_pairs(library: BasisLibrary, pairs: Sequence[Pair]) -> list[Pair]:
@@ -249,8 +235,7 @@ def _write_array(stream: BinaryIO, array: np.ndarray) -> None:
 
 
 def _read_array(stream: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    data = read_exact(stream, 8 * count, what)
+    data = read_exact(stream, 8 * math.prod(shape), what)
     array = np.frombuffer(data, dtype="<f8").reshape(shape, order="F")
     return np.asarray(array, dtype=np.float64, order="C").copy()
 
@@ -284,8 +269,8 @@ def load_factors(path: str | Path) -> ThinSVD:
     with open(path, "rb") as stream:
         _check_header(stream, FACTORS_MAGIC, path)
         j, k, r = struct.unpack("<QQQ", read_exact(stream, 24, "dimensions"))
-        if r > min(j, k):
-            raise DataFormatError(f"{path}: rank {r} exceeds min({j}, {k})")
+        if not 1 <= r <= min(j, k):
+            raise DataFormatError(f"{path}: rank {r} outside [1, min({j}, {k})]")
         values = _read_array(stream, (r,), "singular values")
         modes = _read_array(stream, (j, r), "modes")
         coeffs = _read_array(stream, (k, r), "coefficients")
@@ -327,16 +312,19 @@ def load_library(path: str | Path) -> BasisLibrary:
         (count,) = struct.unpack("<I", read_exact(stream, 4, "class count"))
         h, w = struct.unpack("<QQ", read_exact(stream, 16, "frame shape"))
         (blob_len,) = struct.unpack("<Q", read_exact(stream, 8, "provenance size"))
+        blob = read_utf8(stream, blob_len, "provenance")
         try:
-            provenance = json.loads(read_exact(stream, blob_len, "provenance"))
-        except json.JSONDecodeError as exc:
+            provenance = json.loads(blob)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{path}: provenance is not valid JSON") from exc
+        if not isinstance(provenance, dict):
+            raise DataFormatError(f"{path}: provenance is not a JSON object")
         j = h * w
         bases = []
         for _ in range(count):
             (class_id,) = struct.unpack("<I", read_exact(stream, 4, "class id"))
             (code_len,) = struct.unpack("<I", read_exact(stream, 4, "code size"))
-            code = read_exact(stream, code_len, "class code").decode("utf-8")
+            code = read_utf8(stream, code_len, "class code")
             (rank,) = struct.unpack("<Q", read_exact(stream, 8, "rank"))
             if not 1 <= rank <= j:
                 raise DataFormatError(f"{path}: class {code}: bad rank {rank}")
@@ -348,4 +336,7 @@ def load_library(path: str | Path) -> BasisLibrary:
     for basis in bases:
         if not (np.isfinite(basis.mean).all() and np.isfinite(basis.modes).all()):
             raise NumericError(f"{path}: class {basis.label.code}: non-finite basis")
-    return BasisLibrary((int(h), int(w)), tuple(bases), provenance)
+    try:
+        return BasisLibrary((int(h), int(w)), tuple(bases), provenance)
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import convnet
 from .basis import (
-    build_library,
+    BasisLibrary,
     fit_classes,
+    library_from_fits,
     load_library,
     project_pairs,
     save_factors,
@@ -45,13 +46,13 @@ from .dataset import (
 from .errors import ConfigError, DataError, NumericError
 from .experiment import (
     ExperimentConfig,
-    TruncationRule,
     baseline_report,
     render_report,
     run_experiment,
     save_report,
 )
 from .pgm import from_unit, write_pgm
+from .svd import TruncationRule
 
 MANIFEST_NAME = "manifest.tsv"
 
@@ -70,16 +71,20 @@ def _parse_arch(text: str) -> tuple[tuple[int, int, int], int]:
 def _rules(args) -> tuple[TruncationRule, ...]:
     rules = [TruncationRule(rank=r) for r in args.rank or []]
     rules += [TruncationRule(tolerance=t) for t in args.tolerance or []]
-    if getattr(args, "gavish", False) or not rules:
+    if args.gavish or not rules:
         rules.append(TruncationRule())
     return tuple(rules)
 
 
-def _single_rule(args) -> TruncationRule:
+def _train_library(args, split: DatasetSplit) -> BasisLibrary:
+    """The library of the train partition under the subcommand's one rule."""
     rules = _rules(args)
     if len(rules) > 1:
         raise ConfigError("this subcommand takes a single truncation rule")
-    return rules[0]
+    source = f"train partition of {Path(args.data).name}"
+    return library_from_fits(
+        fit_classes(split.train), split.metadata.frame_shape, rules[0], source
+    )
 
 
 def _load_split(args) -> tuple[list[Sample], DatasetSplit]:
@@ -179,15 +184,8 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_build_basis(args) -> int:
-    rule = _single_rule(args)
     _, split = _load_split(args)
-    library = build_library(
-        split.train,
-        split.metadata.frame_shape,
-        rank=rule.rank,
-        tolerance=rule.tolerance,
-        source=f"train partition of {Path(args.data).name}",
-    )
+    library = _train_library(args, split)
     save_library(library, args.out)
     for basis in library.bases:
         print(f"{basis.label.code}: rank {basis.rank}")
@@ -223,15 +221,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
-    rule = _single_rule(args)
     samples, split = _load_split(args)
-    library = build_library(
-        split.train,
-        split.metadata.frame_shape,
-        rank=rule.rank,
-        tolerance=rule.tolerance,
-        source=f"train partition of {Path(args.data).name}",
-    )
+    library = _train_library(args, split)
     out = Path(args.out)
     for sample in samples:
         sample_dir = out / sample.label.code / sample.sample_id
@@ -308,14 +299,7 @@ def cmd_evaluate(args) -> int:
                 f"dataset {split.metadata.frame_shape}"
             )
     else:
-        rule = _single_rule(args)
-        library = build_library(
-            split.train,
-            split.metadata.frame_shape,
-            rank=rule.rank,
-            tolerance=rule.tolerance,
-            source=f"train partition of {Path(args.data).name}",
-        )
+        library = _train_library(args, split)
     report = baseline_report(library, split)
     for name in ("validation", "test", "unseen"):
         if name in report:

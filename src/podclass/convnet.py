@@ -17,6 +17,7 @@ on the four window corners as strided views of the input.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,9 @@ CHECKPOINT_VERSION = 1
 
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-7
+
+# Frames per forward pass when scoring; training batches are configurable.
+INFERENCE_BATCH = 256
 
 PARAM_FIELDS = (
     "kernel1",
@@ -332,18 +336,17 @@ def rmsprop_step(
     grads: Params,
     state: RmspropState,
     learning_rate: float,
-    rho: float = RMSPROP_RHO,
-    eps: float = RMSPROP_EPS,
 ) -> tuple[Params, RmspropState]:
-    """One update: s <- rho s + (1 - rho) g^2, theta <- theta - lr g / (sqrt(s) + eps).
+    """One update: s <- rho s + (1 - rho) g^2, theta <- theta - lr g / (sqrt(s) + eps),
+    with rho = RMSPROP_RHO and eps = RMSPROP_EPS.
 
     Inputs are left untouched; fresh parameter and state objects come back.
     """
     new_params = []
     new_squares = []
     for theta, g, s in zip(params.arrays(), grads.arrays(), state.squares):
-        s_new = rho * s + (1.0 - rho) * g * g
-        new_params.append(theta - learning_rate * g / (np.sqrt(s_new) + eps))
+        s_new = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * g * g
+        new_params.append(theta - learning_rate * g / (np.sqrt(s_new) + RMSPROP_EPS))
         new_squares.append(s_new)
     return Params.from_arrays(new_params), RmspropState(tuple(new_squares))
 
@@ -369,10 +372,7 @@ class TrainResult:
 
 
 def evaluate_network(
-    params: Params,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 256,
+    params: Params, images: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over a labeled set, computed in batches."""
     labels = np.asarray(labels)
@@ -381,8 +381,8 @@ def evaluate_network(
         raise ConfigError("cannot evaluate on an empty set")
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, INFERENCE_BATCH):
+        stop = min(start + INFERENCE_BATCH, n)
         logits, _ = forward(params, images[start:stop])
         probs = softmax(logits)
         total_loss += cross_entropy(probs, labels[start:stop]) * (stop - start)
@@ -390,12 +390,12 @@ def evaluate_network(
     return total_loss / n, correct / n
 
 
-def predict(params: Params, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict(params: Params, images: np.ndarray) -> np.ndarray:
     """Predicted class indices for a batch of images."""
     images = np.asarray(images, dtype=np.float64)
     out = []
-    for start in range(0, images.shape[0], batch_size):
-        logits, _ = forward(params, images[start : start + batch_size])
+    for start in range(0, images.shape[0], INFERENCE_BATCH):
+        logits, _ = forward(params, images[start : start + INFERENCE_BATCH])
         out.append(logits.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
@@ -491,12 +491,14 @@ def load_checkpoint(path: str | Path) -> tuple[Architecture, Params]:
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         fields = struct.unpack("<8Q", read_exact(stream, 64, "architecture"))
-        h, w, c1, c2, c3, hidden, classes, seed = (int(v) for v in fields)
-        arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
+        h, w, c1, c2, c3, hidden, classes, seed = fields
+        try:
+            arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
+        except ConfigError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
         arrays = []
         for name, shape in param_shapes(arch).items():
-            count = int(np.prod(shape))
-            data = read_exact(stream, 8 * count, name)
+            data = read_exact(stream, 8 * math.prod(shape), name)
             arrays.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
         if stream.read(1):
             raise DataFormatError(f"{path}: trailing bytes after parameters")

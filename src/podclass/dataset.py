@@ -148,24 +148,16 @@ class SplitPolicy:
         return cls(train_samples, unseen_samples, frames_per_sample, t, v, s)
 
     @classmethod
-    def reference(cls) -> "SplitPolicy":
-        """The reference configuration: 26 recordings per class, 90 frames each,
-        20 training + 6 hold-out, frames dealt 1200/500/100."""
-        return cls.proportional(20, 6, 90)
-
-    @classmethod
-    def for_samples(
-        cls, samples: Sequence[Sample], frame_cap: int = DEFAULT_FRAME_CAP
-    ) -> "SplitPolicy":
+    def for_samples(cls, samples: Sequence[Sample]) -> "SplitPolicy":
         """Derive a proportional policy from the data itself.
 
         Keeps the reference hold-out ratio (6 of 26 recordings) and caps
-        frames per recording at ``frame_cap``.
+        frames per recording at ``DEFAULT_FRAME_CAP``.
         """
         by_class = group_by_class(samples)
         n = min(len(group) for group in by_class.values())
         f = min(min(len(s.frames) for s in group) for group in by_class.values())
-        f = min(f, frame_cap)
+        f = min(f, DEFAULT_FRAME_CAP)
         unseen = max(1, round(n * 6 / 26)) if n > 1 else 0
         return cls.proportional(n - unseen, unseen, f)
 
@@ -206,7 +198,7 @@ class SyntheticSpec:
         values: dict[str, float] = {}
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -341,7 +333,13 @@ def split_from_manifest(
     parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
     origins: dict[str, list[Origin]] = {name: [] for name in PARTITIONS}
     first_line: dict[tuple[str, str, int], int] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         fields = raw.split("\t")

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package, plus the exact-read
-helper every binary container reader uses.
+helpers every binary container reader uses.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError (and subclasses) -> 3, NumericError -> 4.
 """
 
+from io import SEEK_END
 from typing import BinaryIO
 
 
@@ -28,17 +29,28 @@ class CapacityError(DataError):
     """Not enough samples or frames to satisfy a request."""
 
 
-class RosterError(DataError):
-    """A label falls outside the known class roster."""
-
-
 class NumericError(PodClassError):
     """Non-finite values or a failed matrix decomposition."""
 
 
 def read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    """Read exactly ``count`` bytes; a short read is a truncated file."""
-    data = stream.read(count)
-    if len(data) != count:
-        raise DataFormatError(f"truncated file while reading {what}")
-    return data
+    """Read exactly ``count`` bytes. A count past the end of the file is
+    refused before anything is read, so a corrupt size field cannot ask
+    for more memory than the file holds."""
+    here = stream.tell()
+    left = stream.seek(0, SEEK_END) - here
+    stream.seek(here)
+    if count > left:
+        raise DataFormatError(f"{stream.name}: truncated file while reading {what}")
+    return stream.read(count)
+
+
+def read_utf8(stream: BinaryIO, count: int, what: str) -> str:
+    """Read exactly ``count`` bytes of UTF-8 text."""
+    data = read_exact(stream, count, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{stream.name}: {what} is not UTF-8 (byte {exc.start})"
+        ) from exc

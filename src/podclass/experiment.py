@@ -32,6 +32,7 @@ from .dataset import DatasetSplit, Pair, partition_arrays
 from .errors import ConfigError
 from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
+from .svd import TruncationRule
 
 EVAL_PARTITIONS = ("validation", "test", "unseen")
 
@@ -40,34 +41,6 @@ LEAK_NOTE = (
     "projection; network accuracies on those partitions rely on label "
     "information, while the subspace baseline classifies unprojected frames"
 )
-
-
-@dataclass(frozen=True)
-class TruncationRule:
-    """How to pick per-class ranks: fixed rank, energy tolerance, or the
-    hard-threshold rule when neither is given."""
-
-    rank: int | None = None
-    tolerance: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.rank is not None and self.tolerance is not None:
-            raise ConfigError("a truncation rule takes a rank or a tolerance, not both")
-
-    @property
-    def arm_name(self) -> str:
-        if self.rank is not None:
-            return f"projected-r{self.rank}"
-        if self.tolerance is not None:
-            return f"projected-tol{self.tolerance:g}"
-        return "projected-auto"
-
-    def describe(self) -> dict:
-        if self.rank is not None:
-            return {"kind": "fixed", "rank": self.rank}
-        if self.tolerance is not None:
-            return {"kind": "energy", "tolerance": self.tolerance}
-        return {"kind": "hard-threshold"}
 
 
 @dataclass(frozen=True)
@@ -147,17 +120,17 @@ def _network_runs(
 
 def _libraries(
     split: DatasetSplit, rules: Sequence[TruncationRule]
-) -> list[BasisLibrary]:
-    """One library per rule, all truncated from a single fit per class of
-    the train partition; the untruncated fits do not outlive the call."""
+) -> dict[TruncationRule, BasisLibrary]:
+    """One library per distinct rule, all truncated from a single fit per
+    class of the train partition; the untruncated fits do not outlive the
+    call."""
     fits = fit_classes(split.train)
-    return [
-        library_from_fits(
-            fits, split.metadata.frame_shape, rule.rank, rule.tolerance,
-            source="train partition",
+    return {
+        rule: library_from_fits(
+            fits, split.metadata.frame_shape, rule, source="train partition"
         )
-        for rule in rules
-    ]
+        for rule in dict.fromkeys(rules)
+    }
 
 
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
@@ -178,22 +151,27 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     order: list[str] = []
 
     # Raw arm: unprocessed images. Its baseline still needs subspaces, so
-    # it borrows a hard-threshold library; the network sees raw pixels.
-    raw_library, *rule_libraries = _libraries(split, (TruncationRule(),) + config.rules)
+    # it borrows the hard-threshold library; the network sees raw pixels.
+    # A projected arm under that same rule shares library and baseline.
+    hard = TruncationRule()
+    libraries = _libraries(split, (hard,) + config.rules)
+    baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
+    raw_library = libraries[hard]
     raw_data = {
         name: partition_arrays(pairs) for name, pairs in raw_parts.items() if pairs
     }
     arms["raw"] = {
         "kind": "raw",
-        "baseline_rank_rule": {"kind": "hard-threshold"},
+        "baseline_rank_rule": hard.describe(),
         "baseline_ranks": {b.label.code: b.rank for b in raw_library.bases},
-        "baseline": baseline_report(raw_library, split),
+        "baseline": baselines[hard],
         "network": _network_runs(arch_seedless, raw_data, config),
         "warnings": raw_library.provenance["warnings"],
     }
     order.append("raw")
 
-    for rule, library in zip(config.rules, rule_libraries):
+    for rule in config.rules:
+        library = libraries[rule]
         data = {
             name: partition_arrays(project_pairs(library, pairs))
             for name, pairs in raw_parts.items()
@@ -203,7 +181,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
             "kind": "projected",
             "rank_rule": rule.describe(),
             "ranks": {b.label.code: b.rank for b in library.bases},
-            "baseline": baseline_report(library, split),
+            "baseline": baselines[rule],
             "network": _network_runs(arch_seedless, data, config),
             "warnings": library.provenance["warnings"],
         }

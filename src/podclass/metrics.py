@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Origin
 from .errors import ConfigError
 
 
@@ -65,38 +64,3 @@ def aggregate(values: Sequence[float]) -> Aggregate:
     std = float(ordered.std(ddof=1)) if ordered.size > 1 else 0.0
     return Aggregate(mean=mean, std=std, count=int(ordered.size), values=tuple(ordered))
 
-
-def majority_vote_by_sample(
-    true: np.ndarray,
-    predicted: np.ndarray,
-    origins: Sequence[Origin],
-) -> dict:
-    """Recording-level vote over frame predictions; a supplementary view.
-
-    Frames are grouped by (true class, sample id); each group's prediction
-    is the most frequent frame prediction, ties going to the lowest class
-    id. The frame-level metrics above remain the primary protocol; this
-    exists because frames of one recording are not independent.
-    """
-    true = np.asarray(true)
-    predicted = np.asarray(predicted)
-    if len(origins) != true.size or true.size != predicted.size:
-        raise ConfigError("origins must align one-to-one with label arrays")
-    groups: dict[tuple[int, str], list[int]] = {}
-    for i, (sample_id, _) in enumerate(origins):
-        groups.setdefault((int(true[i]), sample_id), []).append(i)
-    sample_true = []
-    sample_pred = []
-    for (true_id, _), indices in sorted(groups.items()):
-        votes = np.bincount(predicted[indices])
-        sample_true.append(true_id)
-        sample_pred.append(int(votes.argmax()))
-    sample_true_arr = np.array(sample_true)
-    sample_pred_arr = np.array(sample_pred)
-    return {
-        "kind": "per-recording majority vote (supplementary)",
-        "samples": len(sample_true),
-        "true": sample_true_arr,
-        "predicted": sample_pred_arr,
-        "accuracy": accuracy(sample_true_arr, sample_pred_arr),
-    }

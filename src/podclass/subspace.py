@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisLibrary
-from .dataset import Pair
+from .dataset import Pair, partition_arrays
 from .errors import CapacityError, DataFormatError
 
 
@@ -53,8 +53,5 @@ def classify_pairs(
     library: BasisLibrary, pairs: Sequence[Pair]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(true ids, predicted ids) for a labeled partition."""
-    if not pairs:
-        raise CapacityError("empty partition")
-    images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in pairs])
-    true = np.array([label.id for _, label in pairs], dtype=np.int64)
+    images, true = partition_arrays(pairs)
     return true, classify(library, images)

@@ -126,20 +126,52 @@ def rank_by_hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> int:
     return max(rank, 1)
 
 
-def select_rank(
-    svd: ThinSVD,
-    shape: tuple[int, int],
-    rank: int | None = None,
-    tolerance: float | None = None,
-) -> int:
-    """Resolve a truncation request: explicit rank, else energy tolerance,
-    else the hard-threshold rule."""
-    if rank is not None and tolerance is not None:
-        raise ConfigError("give either a rank or an energy tolerance, not both")
-    if rank is not None:
-        if rank < 1:
-            raise ConfigError(f"truncation rank must be positive, got {rank}")
-        return min(rank, svd.rank)
-    if tolerance is not None:
-        return rank_for_energy(svd.values, tolerance)
-    return rank_by_hard_threshold(svd.values, shape)
+@dataclass(frozen=True)
+class TruncationRule:
+    """How many leading modes to keep: a fixed rank, the smallest rank
+    within an energy tolerance, or the hard threshold when neither is
+    given. Checked once, here; every library and report describes itself
+    through :meth:`describe`."""
+
+    rank: int | None = None
+    tolerance: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.rank is not None and self.tolerance is not None:
+            raise ConfigError("a truncation rule takes a rank or a tolerance, not both")
+        if self.rank is not None and self.rank < 1:
+            raise ConfigError(f"truncation rank must be positive, got {self.rank}")
+
+    @property
+    def arm_name(self) -> str:
+        if self.rank is not None:
+            return f"projected-r{self.rank}"
+        if self.tolerance is not None:
+            return f"projected-tol{self.tolerance:g}"
+        return "projected-auto"
+
+    def describe(self) -> dict:
+        if self.rank is not None:
+            return {"kind": "fixed", "rank": self.rank}
+        if self.tolerance is not None:
+            return {"kind": "energy", "tolerance": self.tolerance}
+        return {"kind": "hard-threshold"}
+
+    def select(self, svd: ThinSVD, shape: tuple[int, int]) -> tuple[int, str | None]:
+        """Rank to keep from ``svd`` of a matrix of ``shape``, plus a note
+        when the rule could not be met as stated (a rank capped at the
+        available one, or the hard threshold's rank-1 fallback)."""
+        if self.rank is not None:
+            if self.rank > svd.rank:
+                return svd.rank, f"requested rank {self.rank} capped at {svd.rank}"
+            return self.rank, None
+        if self.tolerance is not None:
+            return rank_for_energy(svd.values, self.tolerance), None
+        threshold = hard_threshold(svd.values, shape)
+        if svd.values[0] > threshold:
+            return rank_by_hard_threshold(svd.values, shape), None
+        return 1, (
+            f"no singular value above the hard threshold {threshold:.4g} "
+            f"(median sigma {np.median(svd.values):.4g}, "
+            f"sigma_1 {svd.values[0]:.4g}); fell back to rank 1"
+        )

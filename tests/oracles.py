@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def jacobi_eigh(matrix: np.ndarray, sweeps: int = 30, tol: float = 1e-13):
-    """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
+def jacobi_eigvalsh(matrix: np.ndarray, sweeps: int = 30, tol: float = 1e-13):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi, descending.
 
     Sweeps zero out each off-diagonal pair (p, q) with a plane rotation
-    until the off-diagonal mass is negligible against the diagonal.
-    Returns (values, vectors) sorted by descending eigenvalue.
+    until the off-diagonal mass is negligible against the diagonal. The
+    rotations are not accumulated: no caller needs the eigenvectors.
     """
     a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]
@@ -23,7 +23,6 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 30, tol: float = 1e-13):
         raise ValueError("square matrix required")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError("symmetric matrix required")
-    v = np.eye(n)
     scale = max(np.abs(a).max(), 1e-300)
     for _ in range(sweeps):
         off = np.sqrt(max((a**2).sum() - (np.diag(a) ** 2).sum(), 0.0))
@@ -48,12 +47,7 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 30, tol: float = 1e-13):
                 rp = c * a[p, :] - s * a[q, :]
                 rq = s * a[p, :] + c * a[q, :]
                 a[p, :], a[q, :] = rp, rq
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    return values[order], v[:, order]
+    return np.sort(np.diag(a))[::-1]
 
 
 def oracle_singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -62,7 +56,7 @@ def oracle_singular_values(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     j, k = matrix.shape
     gram = matrix.T @ matrix if k <= j else matrix @ matrix.T
-    values, _ = jacobi_eigh(gram)
+    values = jacobi_eigvalsh(gram)
     return np.sqrt(np.clip(values, 0.0, None))
 
 

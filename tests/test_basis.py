@@ -14,7 +14,7 @@ from podclass.basis import (
 )
 from podclass.dataset import ClassLabel
 from podclass.errors import ConfigError, DataFormatError
-from podclass.svd import hard_threshold, thin_svd
+from podclass.svd import TruncationRule, hard_threshold, thin_svd
 
 from oracles import principal_angle_cosines
 
@@ -32,21 +32,21 @@ def make_class_frames(rng, n=20, side=8, rank=3):
 
 def test_mean_is_frame_average(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=2))
     stacked = np.stack([f.reshape(-1) for f in frames])
     assert np.allclose(basis.mean, stacked.mean(axis=0), atol=1e-12)
 
 
 def test_modes_orthonormal(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=3))
     gram = basis.modes.T @ basis.modes
     assert np.abs(gram - np.eye(basis.rank)).max() <= 1e-10
 
 
 def test_projection_is_idempotent(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=3))
     x = rng.uniform(0, 1, size=basis.mean.size)
     once = basis.project(x)
     twice = basis.project(once)
@@ -55,14 +55,14 @@ def test_projection_is_idempotent(rng):
 
 def test_projection_restores_mean(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=2))
     projected = basis.project(basis.mean)
     assert np.abs(projected - basis.mean).max() <= 1e-12
 
 
 def test_projection_error_orthogonal_to_modes(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=3))
     x = rng.uniform(0, 1, size=basis.mean.size)
     err = x - basis.project(x)
     assert np.abs(basis.modes.T @ err).max() <= 1e-10
@@ -70,14 +70,14 @@ def test_projection_error_orthogonal_to_modes(rng):
 
 def test_projection_of_span_member_is_identity(rng):
     frames = make_class_frames(rng, rank=2)
-    basis, _ = fit_class(frames, LABEL).basis(rank=2)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=2))
     inside = basis.mean + basis.modes @ rng.normal(size=basis.rank)
     assert np.abs(basis.project(inside) - inside).max() <= 1e-10
 
 
 def test_residual_is_distance_to_projection(rng):
     frames = make_class_frames(rng)
-    basis, _ = fit_class(frames, LABEL).basis(rank=3)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=3))
     x = rng.uniform(0, 1, size=basis.mean.size)
     expected = np.linalg.norm(x - basis.project(x))
     assert abs(basis.residuals(x) - expected) <= 1e-12
@@ -96,7 +96,7 @@ def test_projection_may_leave_unit_range():
 def test_modes_span_matches_centered_svd(rng):
     frames = make_class_frames(rng, rank=4)
     fit = fit_class(frames, LABEL)
-    basis, _ = fit.basis(rank=3)
+    basis, _ = fit.basis(TruncationRule(rank=3))
     assert fit.svd is not None
     cos = principal_angle_cosines(basis.modes, fit.svd.modes[:, :3])
     assert np.abs(cos - 1.0).max() <= 1e-9
@@ -118,7 +118,7 @@ def test_degenerate_ensemble_falls_back(rng):
 def test_rank_capping_warns(rng):
     frames = make_class_frames(rng, n=5, rank=2)
     fit = fit_class(frames, LABEL)
-    basis, warnings = fit.basis(rank=50)
+    basis, warnings = fit.basis(TruncationRule(rank=50))
     assert basis.rank == fit.svd.rank
     assert any("capped" in w for w in warnings)
 

@@ -242,3 +242,27 @@ def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit):
         n for n, (new, old) in enumerate(zip(edited, lines + [None]), 1) if new != old
     )
     assert capsys.readouterr().err.startswith(f"error: {manifest}:{lineno}: ")
+
+
+def test_manifest_not_utf8_exit_3(data_dir, tmp_path, capsys):
+    lines = (data_dir / "manifest.tsv").read_bytes().split(b"\n")
+    lines[4] = lines[4][:-1] + b"\xff"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"\n".join(lines))
+    args = ["ingest-check", "--data", str(data_dir), "--manifest", str(manifest)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith(f"error: {manifest}:5: ")
+
+
+def test_evaluate_with_corrupt_library_exit_3(data_dir, tmp_path, capsys):
+    lib = tmp_path / "lib.bin"
+    assert main(["build-basis", "--data", str(data_dir), "--out", str(lib)]) == 0
+    data = bytearray(lib.read_bytes())
+    # class block: u32 id 0, u32 code length 2, then the code itself
+    code_at = data.index(b"\x00" * 4 + b"\x02\x00\x00\x00C0") + 8
+    data[code_at] = 0xFF
+    lib.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data_dir), "--library", str(lib)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lib}: class code is not UTF-8")

@@ -57,7 +57,8 @@ def test_sample_rejects_mixed_frame_shapes():
 
 
 def test_reference_policy_counts():
-    policy = SplitPolicy.reference()
+    # 26 recordings per class, 90 frames each: 20 training + 6 hold-out
+    policy = SplitPolicy.proportional(20, 6, 90)
     assert (policy.train_samples, policy.unseen_samples) == (20, 6)
     assert policy.frames_per_sample == 90
     assert (policy.train_frames, policy.validation_frames, policy.test_frames) == (
@@ -312,6 +313,13 @@ def test_spec_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text("classes=3\nwhat=1\n")
     with pytest.raises(ConfigError):
+        SyntheticSpec.from_config_file(path)
+
+
+def test_spec_config_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_bytes(b"classes=3\nnoise=0.\xff\n")
+    with pytest.raises(ConfigError, match="cannot read spec file"):
         SyntheticSpec.from_config_file(path)
 
 

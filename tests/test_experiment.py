@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from podclass import basis, svd
+from podclass import basis, experiment, svd
 from podclass.basis import build_library
 from podclass.dataset import (
     SplitPolicy,
@@ -144,6 +144,22 @@ def test_each_class_is_fitted_once_per_experiment(tiny_split, monkeypatch):
     run_experiment(tiny_split, _hard_and_fixed_config(rank=2))
     frames = len(tiny_split.train) // len(tiny_split.metadata.classes)
     assert shapes == [(16 * 16, frames)] * len(tiny_split.metadata.classes)
+
+
+def test_one_library_and_baseline_per_distinct_rule(tiny_split, monkeypatch):
+    # the raw arm's baseline and the projected-auto arm's are the same
+    # hard-threshold truncation of the same fits, so they are built once
+    calls = []
+
+    def counting_baseline(library, split):
+        calls.append(library.provenance["rank_rule"])
+        return baseline_report(library, split)
+
+    monkeypatch.setattr(experiment, "baseline_report", counting_baseline)
+    report = run_experiment(tiny_split, _hard_and_fixed_config(rank=2))
+    assert calls == [{"kind": "hard-threshold"}, {"kind": "fixed", "rank": 2}]
+    arms = report["arms"]
+    assert arms["raw"]["baseline"] == arms["projected-auto"]["baseline"]
 
 
 def test_rank_one_fallback_is_reported_per_arm():

@@ -9,7 +9,6 @@ from podclass.metrics import (
     accuracy,
     aggregate,
     confusion_matrix,
-    majority_vote_by_sample,
 )
 
 
@@ -68,26 +67,3 @@ def test_aggregate_formats_three_significant_figures():
     agg = Aggregate(mean=0.91234, std=0.01567, count=5, values=(0.9,))
     assert str(agg) == "0.912±0.0157"
 
-
-def test_majority_vote_groups_by_sample():
-    true = np.array([0, 0, 0, 1, 1, 1])
-    pred = np.array([0, 1, 0, 1, 0, 0])
-    origins = [("s00", 0), ("s00", 1), ("s00", 2), ("s00", 0), ("s00", 1), ("s00", 2)]
-    out = majority_vote_by_sample(true, pred, origins)
-    # class 0's s00 votes 0 (2 of 3); class 1's s00 votes 0 (2 of 3)
-    assert out["samples"] == 2
-    assert out["true"].tolist() == [0, 1]
-    assert out["predicted"].tolist() == [0, 0]
-    assert out["accuracy"] == 0.5
-
-
-def test_majority_vote_tie_prefers_lowest_class():
-    true = np.array([1, 1])
-    pred = np.array([2, 0])
-    out = majority_vote_by_sample(true, pred, [("a", 0), ("a", 1)])
-    assert out["predicted"].tolist() == [0]
-
-
-def test_majority_vote_needs_aligned_origins():
-    with pytest.raises(ConfigError):
-        majority_vote_by_sample(np.array([0]), np.array([0]), [])

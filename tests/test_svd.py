@@ -4,10 +4,10 @@ import pytest
 from podclass.errors import ConfigError, NumericError
 from podclass.svd import (
     ThinSVD,
+    TruncationRule,
     gavish_donoho_omega,
     rank_by_hard_threshold,
     rank_for_energy,
-    select_rank,
     thin_svd,
     truncate,
 )
@@ -169,14 +169,33 @@ def test_hard_threshold_never_zero():
     assert rank_by_hard_threshold(values, (100, 10)) == 1
 
 
-def test_select_rank_dispatch(rng):
+def test_truncation_rule_select_dispatch(rng):
     matrix = rng.normal(size=(40, 10))
     svd = thin_svd(matrix)
-    assert select_rank(svd, matrix.shape, rank=3) == 3
-    assert select_rank(svd, matrix.shape, rank=999) == svd.rank
-    tol_rank = select_rank(svd, matrix.shape, tolerance=0.3)
-    assert tol_rank == rank_for_energy(svd.values, 0.3)
-    auto = select_rank(svd, matrix.shape)
+    assert TruncationRule(rank=3).select(svd, matrix.shape) == (3, None)
+    assert TruncationRule(rank=999).select(svd, matrix.shape) == (
+        svd.rank,
+        f"requested rank 999 capped at {svd.rank}",
+    )
+    assert TruncationRule(tolerance=0.3).select(svd, matrix.shape) == (
+        rank_for_energy(svd.values, 0.3),
+        None,
+    )
+    auto, _ = TruncationRule().select(svd, matrix.shape)
     assert auto == rank_by_hard_threshold(svd.values, matrix.shape)
+
+
+def test_truncation_rule_is_checked_at_construction():
     with pytest.raises(ConfigError):
-        select_rank(svd, matrix.shape, rank=2, tolerance=0.1)
+        TruncationRule(rank=2, tolerance=0.1)
+    with pytest.raises(ConfigError):
+        TruncationRule(rank=0)
+
+
+def test_truncation_rule_describes_itself():
+    assert TruncationRule(rank=3).describe() == {"kind": "fixed", "rank": 3}
+    assert TruncationRule(tolerance=0.1).describe() == {
+        "kind": "energy",
+        "tolerance": 0.1,
+    }
+    assert TruncationRule().describe() == {"kind": "hard-threshold"}
