@@ -310,6 +310,8 @@ def load_library(path: str | Path) -> BasisLibrary:
     with open(path, "rb") as stream:
         _check_header(stream, LIBRARY_MAGIC, path)
         (count,) = struct.unpack("<I", read_exact(stream, 4, "class count"))
+        if count == 0:
+            raise DataFormatError(f"{path}: library holds no classes")
         h, w = struct.unpack("<QQ", read_exact(stream, 16, "frame shape"))
         (blob_len,) = struct.unpack("<Q", read_exact(stream, 8, "provenance size"))
         blob = read_utf8(stream, blob_len, "provenance")

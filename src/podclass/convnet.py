@@ -11,7 +11,8 @@ Convolutions are patch-matrix GEMMs (Chellapilla, Puri & Simard 2006):
 the padded batch is unrolled once into a (B*H*W, 9*Cin) matrix of 3x3
 patches and multiplied by the kernel reshaped to (9*Cin, Cout). The kernel
 gradient is one GEMM against the same patches; the input gradient is nine
-2-D GEMMs, one per kernel tap, added back at their shifts. Pooling works
+2-D GEMMs, one per kernel tap, added back at their shifts, and is skipped
+for the first layer, whose input is the images. Pooling works
 on the four window corners as strided views of the input.
 """
 
@@ -165,23 +166,28 @@ def conv3x3_forward(
 
 
 def conv3x3_backward(
-    xp: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (input, kernel, bias) of the convolution above."""
+    xp: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (input, kernel, bias) of the convolution above; the input
+    gradient is None when ``input_grad`` is false (the first layer, whose
+    input is the images)."""
     b, h, w, cout = grad_out.shape
     cin = kernel.shape[2]
     grad_rows = grad_out.reshape(-1, cout)
     grad_kernel = (_patches(xp).T @ grad_rows).reshape(kernel.shape)
-    grad_xp = np.zeros_like(xp)
-    for u in range(3):
-        for v in range(3):
-            grad_xp[:, u : u + h, v : v + w, :] += (
-                grad_rows @ kernel[u, v].T
-            ).reshape(b, h, w, cin)
+    grad_x = None
+    if input_grad:
+        grad_xp = np.zeros_like(xp)
+        for u in range(3):
+            for v in range(3):
+                grad_xp[:, u : u + h, v : v + w, :] += (
+                    grad_rows @ kernel[u, v].T
+                ).reshape(b, h, w, cin)
+        grad_x = grad_xp[:, 1:-1, 1:-1, :]
     # the row sum as a GEMV: numpy's axis-0 sum is several times slower on
     # the few wide columns of grad_rows
     grad_bias = np.ones(grad_rows.shape[0]) @ grad_rows
-    return grad_xp[:, 1:-1, 1:-1, :], grad_kernel, grad_bias
+    return grad_x, grad_kernel, grad_bias
 
 
 def _corner_views(x: np.ndarray) -> list[np.ndarray]:
@@ -302,7 +308,7 @@ def loss_and_gradients(
         grad_pre = maxpool_backward(grad_x, argmax, act_shape)
         grad_pre *= mask
         grad_x, grad_kernel, grad_bias = conv3x3_backward(
-            xp, kernels[i - 1], grad_pre
+            xp, kernels[i - 1], grad_pre, input_grad=i > 1
         )
         grads_conv.append((grad_kernel, grad_bias))
     (gk3, gb3), (gk2, gb2), (gk1, gb1) = grads_conv

@@ -9,6 +9,7 @@ train / validation / test.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DataError, DataFormatError
-from .pgm import from_unit, read_pgm, to_unit, write_pgm
+from .pgm import from_unit, pgm_header, read_pgm, to_unit
 
 PARTITIONS = ("train", "validation", "test", "unseen")
 
@@ -291,14 +292,19 @@ def load_dataset(root: str | Path) -> list[Sample]:
 
 
 def write_samples(samples: Sequence[Sample], root: str | Path) -> None:
-    """Export samples as the PGM directory layout (clamped 8-bit frames)."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
+    """Export samples as the PGM directory layout (clamped 8-bit frames).
+
+    Each sample is quantized as one stack under one header; the files are
+    what ``write_pgm`` writes frame by frame.
+    """
+    os.makedirs(root, exist_ok=True)
     for sample in samples:
-        sample_dir = root / sample.label.code / sample.sample_id
-        sample_dir.mkdir(parents=True, exist_ok=True)
-        for k, frame in enumerate(sample.frames):
-            write_pgm(sample_dir / f"{k:04d}.pgm", from_unit(frame))
+        sample_dir = os.path.join(root, sample.label.code, sample.sample_id)
+        os.makedirs(sample_dir, exist_ok=True)
+        header = pgm_header(*sample.frame_shape)
+        for k, gray in enumerate(from_unit(np.stack(sample.frames))):
+            with open(os.path.join(sample_dir, f"{k:04d}.pgm"), "wb") as stream:
+                stream.write(header + gray.tobytes())
 
 
 def write_manifest(split: DatasetSplit, path: str | Path) -> None:

@@ -8,6 +8,8 @@ Each arm gets a deterministic nearest-subspace baseline on the
 unprojected images, the warnings of the library behind it, and ``runs``
 independent network trainings whose seeds are base seed + run index;
 accuracies are aggregated as mean and sample deviation per partition.
+The trainings of all arms run in forked worker processes, one per
+available core.
 
 Reports carry no timestamps and serialize with sorted keys, so the same
 inputs produce byte-identical reports.
@@ -19,7 +21,11 @@ label information. The subspace baseline never does.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -83,39 +89,134 @@ def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
     return out
 
 
-def _network_runs(
+def _train_and_score(
     arch_seedless: dict,
     data: dict[str, tuple[np.ndarray, np.ndarray]],
     config: ExperimentConfig,
+    seed: int,
 ) -> dict:
-    runs = []
-    per_partition: dict[str, list[float]] = {name: [] for name in EVAL_PARTITIONS}
-    for i in range(config.runs):
-        seed = config.seed + i
-        arch = convnet.Architecture(seed=seed, **arch_seedless)
-        train_cfg = convnet.TrainConfig(
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            seed=seed,
-        )
-        result = convnet.train(
-            arch, *data["train"], train_cfg, validation=data.get("validation")
-        )
-        row: dict = {"seed": seed, "final": result.history[-1]}
-        for name in EVAL_PARTITIONS:
-            if name not in data:
-                continue
+    """One network of one arm: train it from ``seed`` and score it on every
+    evaluation partition present."""
+    arch = convnet.Architecture(seed=seed, **arch_seedless)
+    train_cfg = convnet.TrainConfig(
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        seed=seed,
+    )
+    result = convnet.train(
+        arch, *data["train"], train_cfg, validation=data.get("validation")
+    )
+    row: dict = {"seed": seed, "final": result.history[-1]}
+    for name in EVAL_PARTITIONS:
+        if name in data:
             images, labels = data[name]
-            predicted = convnet.predict(result.params, images)
-            acc = accuracy(labels, predicted)
-            row[name] = acc
-            per_partition[name].append(acc)
-        runs.append(row)
-    aggregates = {
-        name: aggregate(values) for name, values in per_partition.items() if values
-    }
-    return {"runs": runs, "aggregate": aggregates}
+            row[name] = accuracy(labels, convnet.predict(result.params, images))
+    return row
+
+
+@functools.cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads`` of the OpenBLAS this process has loaded,
+    or None. OpenBLAS reads its thread variables only when it loads, so a
+    forked worker can leave the parent's thread count only through this
+    call; the library is found in the process's memory map, as threadpoolctl
+    does, under any of the symbol names OpenBLAS builds export."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(
+        f[5].rstrip("\n")
+        for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    )
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+            setter = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                return setter
+    return None
+
+
+def _worker_count(jobs: int) -> int:
+    """One training process per available core, at most one per job; 1
+    (train in this process) where fork or the BLAS thread setter is
+    missing."""
+    if not hasattr(os, "fork") or _blas_thread_setter() is None:
+        return 1
+    return min(jobs, len(os.sched_getaffinity(0)))
+
+
+_worker_jobs: list = []  # a forked worker's copy of the parent's job list
+
+
+def _start_worker(jobs: list) -> None:
+    global _worker_jobs
+    _blas_thread_setter()(1)  # the workers, not BLAS threads, fill the cores
+    _worker_jobs = jobs
+
+
+def _run_worker_job(index: int) -> dict:
+    return _train_and_score(*_worker_jobs[index])
+
+
+def _network_runs(
+    arch_seedless: dict,
+    arm_data: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]],
+    config: ExperimentConfig,
+) -> dict[str, dict]:
+    """Per arm, ``config.runs`` networks (seeds base seed + run index) and
+    the aggregate of their accuracies per partition.
+
+    Every (arm, seed) network is a pure function of its inputs, so they
+    train in forked worker processes, which inherit the inputs instead of
+    receiving pickled copies. Rows are merged in (arm, seed) order, so the
+    report does not depend on the worker count; the first job in that
+    order to raise decides the exception.
+    """
+    jobs = [
+        (arch_seedless, data, config, config.seed + i)
+        for data in arm_data.values()
+        for i in range(config.runs)
+    ]
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        rows = [_train_and_score(*job) for job in jobs]
+    else:
+        # Imported only here: in a process that trains nothing (the disk
+        # pipeline), importing multiprocessing moved glibc's dynamic mmap
+        # threshold enough to add 10% to the peak resident memory.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(jobs,),
+        )
+        try:
+            rows = list(pool.map(_run_worker_job, range(len(jobs))))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    out = {}
+    for k, arm in enumerate(arm_data):
+        runs = rows[k * config.runs : (k + 1) * config.runs]
+        out[arm] = {
+            "runs": runs,
+            "aggregate": {
+                name: aggregate([row[name] for row in runs])
+                for name in EVAL_PARTITIONS
+                if name in runs[0]
+            },
+        }
+    return out
 
 
 def _libraries(
@@ -148,7 +249,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     raw_parts = _partitions(split)
 
     arms: dict[str, dict] = {}
-    order: list[str] = []
+    arm_data: dict[str, dict] = {}
 
     # Raw arm: unprocessed images. Its baseline still needs subspaces, so
     # it borrows the hard-threshold library; the network sees raw pixels.
@@ -157,7 +258,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     libraries = _libraries(split, (hard,) + config.rules)
     baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
     raw_library = libraries[hard]
-    raw_data = {
+    arm_data["raw"] = {
         name: partition_arrays(pairs) for name, pairs in raw_parts.items() if pairs
     }
     arms["raw"] = {
@@ -165,14 +266,12 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
         "baseline_rank_rule": hard.describe(),
         "baseline_ranks": {b.label.code: b.rank for b in raw_library.bases},
         "baseline": baselines[hard],
-        "network": _network_runs(arch_seedless, raw_data, config),
         "warnings": raw_library.provenance["warnings"],
     }
-    order.append("raw")
 
     for rule in config.rules:
         library = libraries[rule]
-        data = {
+        arm_data[rule.arm_name] = {
             name: partition_arrays(project_pairs(library, pairs))
             for name, pairs in raw_parts.items()
             if pairs
@@ -182,14 +281,15 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
             "rank_rule": rule.describe(),
             "ranks": {b.label.code: b.rank for b in library.bases},
             "baseline": baselines[rule],
-            "network": _network_runs(arch_seedless, data, config),
             "warnings": library.provenance["warnings"],
         }
-        order.append(rule.arm_name)
+
+    for name, network in _network_runs(arch_seedless, arm_data, config).items():
+        arms[name]["network"] = network
 
     report = {
         "protocol": {
-            "arm_order": order,
+            "arm_order": list(arms),
             "runs": config.runs,
             "epochs": config.epochs,
             "batch_size": config.batch_size,

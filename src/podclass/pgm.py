@@ -44,11 +44,14 @@ def read_pgm(path: str | Path) -> np.ndarray:
         magic, pos = _read_token(data, 0)
         if magic != b"P5":
             raise DataFormatError(f"{path}: not a binary PGM (magic {magic!r})")
-        width_tok, pos = _read_token(data, pos)
-        height_tok, pos = _read_token(data, pos)
-        maxval_tok, pos = _read_token(data, pos)
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except (ValueError, DataFormatError) as exc:
+        numbers = []
+        for field in ("width", "height", "maxval"):
+            token, pos = _read_token(data, pos)
+            if not token.isdigit():  # bytes.isdigit is ASCII digits only
+                raise DataFormatError(f"{field} {token!r} is not ASCII digits")
+            numbers.append(int(token))
+        width, height, maxval = numbers
+    except (ValueError, DataFormatError) as exc:  # ValueError: too many digits
         raise DataFormatError(f"{path}: malformed PGM header ({exc})") from exc
     if not (0 < maxval <= 255):
         raise DataFormatError(f"{path}: unsupported maxval {maxval}, need 8-bit")
@@ -66,9 +69,12 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise DataFormatError("write_pgm expects a 2-D uint8 array")
-    height, width = gray.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + gray.tobytes())
+    Path(path).write_bytes(pgm_header(*gray.shape) + gray.tobytes())
+
+
+def pgm_header(height: int, width: int) -> bytes:
+    """The header of an 8-bit binary PGM; the row-major raster follows it."""
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
 
 
 def to_unit(gray: np.ndarray) -> np.ndarray:

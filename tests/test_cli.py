@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from podclass.cli import main
 from podclass.convnet import load_checkpoint
 from podclass.dataset import load_dataset, split_from_manifest
-from podclass.basis import build_library, load_library, project_pairs
+from podclass.basis import (
+    FORMAT_VERSION,
+    LIBRARY_MAGIC,
+    build_library,
+    load_library,
+    project_pairs,
+)
 from podclass.pgm import read_pgm
 
 
@@ -266,3 +273,25 @@ def test_evaluate_with_corrupt_library_exit_3(data_dir, tmp_path, capsys):
     assert main(["evaluate", "--data", str(data_dir), "--library", str(lib)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lib}: class code is not UTF-8")
+
+
+def test_evaluate_with_zero_class_library_exit_3(data_dir, tmp_path, capsys):
+    # zero classes and a 2^64-1 x 2^64-1 frame: bad data (3), not a frame
+    # shape that mismatches the dataset's (2)
+    lib = tmp_path / "lib.bin"
+    head = struct.pack("<IIQQQ", FORMAT_VERSION, 0, 2**64 - 1, 2**64 - 1, 2)
+    lib.write_bytes(LIBRARY_MAGIC + head + b"{}")
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data_dir), "--library", str(lib)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lib}: library holds no classes")
+
+
+def test_experiment_divergence_exit_4(data_dir, capsys):
+    args = [
+        "experiment", "--data", str(data_dir), "--runs", "2", "--epochs", "1",
+        "--batch", "16", "--arch", "2,4,4,8", "--lr", "1e300",
+    ]
+    with np.errstate(all="ignore"):
+        assert main(args) == 4
+    assert "training diverged at epoch 0" in capsys.readouterr().err

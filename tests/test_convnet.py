@@ -212,6 +212,42 @@ def test_network_gradients_match_finite_differences(rng):
     assert worst <= 1e-4
 
 
+def test_skipped_image_gradient_leaves_parameter_gradients_bit_identical(
+    rng, monkeypatch
+):
+    # the first layer's input gradient (with respect to the images) is not
+    # computed; forcing it back on must not change a single bit elsewhere
+    arch = Architecture(height=16, width=12, channels=(3, 4, 5), hidden=6, classes=3)
+    params = initialize(arch)
+    images = rng.uniform(0, 1, size=(7, 16, 12))
+    labels = rng.integers(0, 3, size=7)
+    loss, grads, probs = loss_and_gradients(params, images, labels)
+
+    def every_input_gradient(xp, kernel, grad_out, input_grad=True):
+        out = conv3x3_backward(xp, kernel, grad_out)
+        assert out[0] is not None
+        return out
+
+    monkeypatch.setattr(convnet, "conv3x3_backward", every_input_gradient)
+    full_loss, full_grads, full_probs = loss_and_gradients(params, images, labels)
+    assert loss == full_loss
+    assert np.array_equal(probs, full_probs)
+    for got, want in zip(grads.arrays(), full_grads.arrays()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv_backward_can_skip_the_input_gradient(rng):
+    x = rng.normal(size=(2, 6, 5, 3))
+    kernel = rng.normal(size=(3, 3, 3, 4))
+    _, xp = conv3x3_forward(x, kernel, rng.normal(size=4))
+    grad_out = rng.normal(size=(2, 6, 5, 4))
+    _, grad_kernel, grad_bias = conv3x3_backward(xp, kernel, grad_out)
+    skipped = conv3x3_backward(xp, kernel, grad_out, input_grad=False)
+    assert skipped[0] is None
+    assert np.array_equal(skipped[1], grad_kernel)
+    assert np.array_equal(skipped[2], grad_bias)
+
+
 def test_relu_subgradient_zero_at_zero():
     # a parameter sitting exactly at zero pre-activation must get no
     # gradient through the ReLU

@@ -18,6 +18,7 @@ from podclass.dataset import (
     write_samples,
 )
 from podclass.errors import CapacityError, ConfigError, DataError, DataFormatError
+from podclass.pgm import from_unit, write_pgm
 
 
 def make_samples(n_classes=2, n_samples=4, n_frames=6, side=8, seed=0):
@@ -247,6 +248,29 @@ def test_write_then_load_dataset(tmp_path):
         assert twin.label == sample.label
         for a, b in zip(sample.frames, twin.frames):
             assert np.abs(a - b).max() <= 0.5 / 255 + 1e-12
+
+
+def test_write_samples_writes_what_write_pgm_writes_per_frame(tmp_path):
+    samples = make_samples(n_classes=2, n_samples=3, n_frames=4, side=6)
+    # projected frames may leave [0, 1]; both writers must clamp alike
+    samples[0].frames[1] = np.linspace(-0.5, 1.5, 36).reshape(6, 6)
+    write_samples(samples, tmp_path / "batched")
+    for sample in samples:
+        sample_dir = tmp_path / "per-frame" / sample.label.code / sample.sample_id
+        sample_dir.mkdir(parents=True)
+        for k, frame in enumerate(sample.frames):
+            write_pgm(sample_dir / f"{k:04d}.pgm", from_unit(frame))
+
+    def tree(root):
+        return {
+            path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    batched = tree(tmp_path / "batched")
+    assert len(batched) == 2 * 3 * 4
+    assert batched == tree(tmp_path / "per-frame")
 
 
 def test_load_dataset_missing_root(tmp_path):

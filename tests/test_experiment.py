@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from podclass.dataset import (
     generate_synthetic,
     split_dataset,
 )
-from podclass.errors import ConfigError
+from podclass.errors import ConfigError, NumericError
 from podclass.experiment import (
     LEAK_NOTE,
     ExperimentConfig,
@@ -180,3 +182,55 @@ def test_rank_one_fallback_is_reported_per_arm():
 def test_no_warnings_above_the_noise_edge(small_report):
     for arm in small_report["arms"].values():
         assert arm["warnings"] == []
+
+
+# -- training processes -------------------------------------------------------
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_reports_are_identical_on_one_and_two_cpus(
+    tiny_split, small_config, small_report, monkeypatch
+):
+    rendered = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        rendered.append(render_report(run_experiment(tiny_split, small_config)))
+    assert rendered[0] == rendered[1] == render_report(small_report)
+
+
+@pytest.mark.skipif(
+    experiment._blas_thread_setter() is None,
+    reason="numpy is not linked against OpenBLAS: trainings run in-process",
+)
+def test_networks_train_in_worker_processes_on_more_than_one_cpu(
+    tiny_split, small_config, monkeypatch
+):
+    train_and_score = experiment._train_and_score
+
+    def with_pid(*args):
+        return {**train_and_score(*args), "pid": os.getpid()}
+
+    monkeypatch.setattr(experiment, "_train_and_score", with_pid)
+    for count, in_parent in ((1, True), (2, False)):
+        _cpus(monkeypatch, count)
+        report = run_experiment(tiny_split, small_config)
+        pids = [row["pid"] for arm in report["arms"].values()
+                for row in arm["network"]["runs"]]
+        assert len(pids) == 4
+        assert all((pid == os.getpid()) == in_parent for pid in pids)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_divergence_raises_the_same_error_on_any_cpu_count(
+    tiny_split, small_config, monkeypatch, count
+):
+    _cpus(monkeypatch, count)
+    config = replace(small_config, learning_rate=1e300)
+    with pytest.raises(NumericError) as caught, np.errstate(all="ignore"):
+        run_experiment(tiny_split, config)
+    assert str(caught.value) == "training diverged at epoch 0"
+    assert multiprocessing.active_children() == []

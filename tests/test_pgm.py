@@ -62,3 +62,18 @@ def test_rejects_wide_maxval(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(DataFormatError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n1_6 +2\n2_55\n", b"P5\n16 2\n+255\n", b"P5\n\xd9\xa16 2\n255\n"],
+    ids=["underscores-and-plus", "plus-maxval", "arabic-indic-digit"],
+)
+def test_rejects_header_numbers_that_are_not_ascii_digits(tmp_path, header):
+    # int() reads "1_6" as 16 and "+2" as 2; a header field is digits only
+    path = tmp_path / "loose.pgm"
+    path.write_bytes(header + bytes(32))
+    with pytest.raises(DataFormatError) as caught:
+        read_pgm(path)
+    assert str(caught.value).startswith(f"{path}: malformed PGM header")
+    assert "is not ASCII digits" in str(caught.value)

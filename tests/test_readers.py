@@ -2,7 +2,7 @@
 
 The binary readers trust no size field: a count larger than what is left
 in the file, undecodable text and structurally impossible headers all end
-in DataFormatError naming the file.
+in DataFormatError naming the file. PGM frames are fuzzed alongside.
 """
 
 import struct
@@ -33,6 +33,7 @@ from podclass.convnet import (
 )
 from podclass.dataset import ClassLabel
 from podclass.errors import DataFormatError, PodClassError
+from podclass.pgm import read_pgm, write_pgm
 from podclass.svd import thin_svd
 
 
@@ -84,6 +85,14 @@ def test_corrupt_library_is_a_format_error(tmp_path, fields, message):
     assert message in str(caught.value)
 
 
+def test_library_with_zero_classes_is_refused(tmp_path):
+    # it used to load as an empty library with a 2^64-1 x 2^64-1 frame
+    head = struct.pack("<IIQQQ", FORMAT_VERSION, 0, 2**64 - 1, 2**64 - 1, 2)
+    path = _write(tmp_path, LIBRARY_MAGIC + head + b"{}")
+    with pytest.raises(DataFormatError, match="library holds no classes"):
+        load_library(path)
+
+
 def test_factors_with_rank_zero_and_huge_sides_are_refused(tmp_path):
     data = FACTORS_MAGIC + struct.pack("<IQQQ", FORMAT_VERSION, 2**64 - 1, 2**64 - 1, 0)
     with pytest.raises(DataFormatError):
@@ -108,6 +117,7 @@ LOADERS = {
     "library": load_library,
     "factors": load_factors,
     "checkpoint": load_checkpoint,
+    "pgm": read_pgm,
 }
 
 
@@ -121,6 +131,7 @@ def valid_files(tmp_path_factory):
     save_library(BasisLibrary((2, 2), (basis,), {"k": 1}), root / "library")
     save_factors(thin_svd(rng.normal(size=(3, 2))), root / "factors")
     save_checkpoint(arch, initialize(arch), root / "checkpoint")
+    write_pgm(root / "pgm", rng.integers(0, 256, size=(3, 5), dtype=np.uint8))
     return {name: (root / name).read_bytes() for name in LOADERS}
 
 
