@@ -11,11 +11,9 @@ when exported to 8-bit storage.
 from __future__ import annotations
 
 import json
-import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,14 +23,18 @@ from .errors import (
     ConfigError,
     DataFormatError,
     NumericError,
-    read_exact,
+    read_array,
+    read_container,
+    read_fields,
     read_utf8,
+    write_array,
+    write_container,
+    write_fields,
 )
 from .svd import ThinSVD, TruncationRule, thin_svd, truncate
 
 FACTORS_MAGIC = b"EIGH"
 LIBRARY_MAGIC = b"EIGB"
-FORMAT_VERSION = 1
 
 # Below this relative spread the ensemble is treated as a single repeated
 # image and gets the canonical one-mode basis instead of an SVD of noise.
@@ -224,58 +226,30 @@ def project_pairs(library: BasisLibrary, pairs: Sequence[Pair]) -> list[Pair]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization. Both containers are little-endian: a 4-byte magic, a u32
-# version, fixed-width integer fields, then float64 payloads. Matrices are
-# stored column-major so columns (modes) stay contiguous.
+# Serialization in the shared container layout (see ``errors``); matrices
+# are stored column-major so columns (modes) stay contiguous.
 # ---------------------------------------------------------------------------
-
-
-def _write_array(stream: BinaryIO, array: np.ndarray) -> None:
-    stream.write(np.asarray(array, dtype="<f8").tobytes(order="F"))
-
-
-def _read_array(stream: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    data = read_exact(stream, 8 * math.prod(shape), what)
-    array = np.frombuffer(data, dtype="<f8").reshape(shape, order="F")
-    return np.asarray(array, dtype=np.float64, order="C").copy()
-
-
-def _check_header(stream: BinaryIO, magic: bytes, path: Path) -> None:
-    got = read_exact(stream, 4, "magic")
-    if got != magic:
-        raise DataFormatError(
-            f"{path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
-        )
-    (version,) = struct.unpack("<I", read_exact(stream, 4, "version"))
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
 
 
 def save_factors(svd: ThinSVD, path: str | Path) -> None:
     """Write thin-SVD factors: J, K, r, then sigma, W, T."""
     j = svd.modes.shape[0]
     k = svd.coeffs.shape[0]
-    with open(path, "wb") as stream:
-        stream.write(FACTORS_MAGIC)
-        stream.write(struct.pack("<I", FORMAT_VERSION))
-        stream.write(struct.pack("<QQQ", j, k, svd.rank))
-        _write_array(stream, svd.values)
-        _write_array(stream, svd.modes)
-        _write_array(stream, svd.coeffs)
+    with write_container(path, FACTORS_MAGIC) as stream:
+        write_fields(stream, "QQQ", j, k, svd.rank)
+        for array in (svd.values, svd.modes, svd.coeffs):
+            write_array(stream, array, "F")
 
 
 def load_factors(path: str | Path) -> ThinSVD:
     path = Path(path)
-    with open(path, "rb") as stream:
-        _check_header(stream, FACTORS_MAGIC, path)
-        j, k, r = struct.unpack("<QQQ", read_exact(stream, 24, "dimensions"))
+    with read_container(path, FACTORS_MAGIC, "factors") as stream:
+        j, k, r = read_fields(stream, "QQQ", "dimensions")
         if not 1 <= r <= min(j, k):
             raise DataFormatError(f"{path}: rank {r} outside [1, min({j}, {k})]")
-        values = _read_array(stream, (r,), "singular values")
-        modes = _read_array(stream, (j, r), "modes")
-        coeffs = _read_array(stream, (k, r), "coefficients")
-        if stream.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after factors")
+        values = read_array(stream, (r,), "singular values", "F")
+        modes = read_array(stream, (j, r), "modes", "F")
+        coeffs = read_array(stream, (k, r), "coefficients", "F")
     if np.any(values < 0) or np.any(np.diff(values) > 0):
         raise DataFormatError(f"{path}: singular values not nonincreasing")
     if not (np.isfinite(values).all() and np.isfinite(modes).all()):
@@ -288,32 +262,26 @@ def save_library(library: BasisLibrary, path: str | Path) -> None:
     (id, code, rank, mean, modes) blocks in class-id order."""
     blob = json.dumps(library.provenance, sort_keys=True).encode("utf-8")
     h, w = library.frame_shape
-    with open(path, "wb") as stream:
-        stream.write(LIBRARY_MAGIC)
-        stream.write(struct.pack("<I", FORMAT_VERSION))
-        stream.write(struct.pack("<I", library.class_count))
-        stream.write(struct.pack("<QQ", h, w))
-        stream.write(struct.pack("<Q", len(blob)))
+    with write_container(path, LIBRARY_MAGIC) as stream:
+        write_fields(stream, "IQQQ", library.class_count, h, w, len(blob))
         stream.write(blob)
         for basis in library.bases:
             code = basis.label.code.encode("utf-8")
-            stream.write(struct.pack("<I", basis.label.id))
-            stream.write(struct.pack("<I", len(code)))
+            write_fields(stream, "II", basis.label.id, len(code))
             stream.write(code)
-            stream.write(struct.pack("<Q", basis.rank))
-            _write_array(stream, basis.mean)
-            _write_array(stream, basis.modes)
+            write_fields(stream, "Q", basis.rank)
+            write_array(stream, basis.mean, "F")
+            write_array(stream, basis.modes, "F")
 
 
 def load_library(path: str | Path) -> BasisLibrary:
     path = Path(path)
-    with open(path, "rb") as stream:
-        _check_header(stream, LIBRARY_MAGIC, path)
-        (count,) = struct.unpack("<I", read_exact(stream, 4, "class count"))
+    with read_container(path, LIBRARY_MAGIC, "bases") as stream:
+        (count,) = read_fields(stream, "I", "class count")
         if count == 0:
             raise DataFormatError(f"{path}: library holds no classes")
-        h, w = struct.unpack("<QQ", read_exact(stream, 16, "frame shape"))
-        (blob_len,) = struct.unpack("<Q", read_exact(stream, 8, "provenance size"))
+        h, w = read_fields(stream, "QQ", "frame shape")
+        (blob_len,) = read_fields(stream, "Q", "provenance size")
         blob = read_utf8(stream, blob_len, "provenance")
         try:
             provenance = json.loads(blob)
@@ -324,17 +292,15 @@ def load_library(path: str | Path) -> BasisLibrary:
         j = h * w
         bases = []
         for _ in range(count):
-            (class_id,) = struct.unpack("<I", read_exact(stream, 4, "class id"))
-            (code_len,) = struct.unpack("<I", read_exact(stream, 4, "code size"))
+            (class_id,) = read_fields(stream, "I", "class id")
+            (code_len,) = read_fields(stream, "I", "code size")
             code = read_utf8(stream, code_len, "class code")
-            (rank,) = struct.unpack("<Q", read_exact(stream, 8, "rank"))
+            (rank,) = read_fields(stream, "Q", "rank")
             if not 1 <= rank <= j:
                 raise DataFormatError(f"{path}: class {code}: bad rank {rank}")
-            mean = _read_array(stream, (j,), f"class {code} mean")
-            modes = _read_array(stream, (j, rank), f"class {code} modes")
+            mean = read_array(stream, (j,), f"class {code} mean", "F")
+            modes = read_array(stream, (j, rank), f"class {code} modes", "F")
             bases.append(ClassBasis(ClassLabel(class_id, code), mean, modes))
-        if stream.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after bases")
     for basis in bases:
         if not (np.isfinite(basis.mean).all() and np.isfinite(basis.modes).all()):
             raise NumericError(f"{path}: class {basis.label.code}: non-finite basis")

@@ -30,6 +30,7 @@ from .basis import (
     save_library,
 )
 from .dataset import (
+    PARTITIONS,
     DatasetSplit,
     Sample,
     SplitPolicy,
@@ -50,6 +51,7 @@ from .experiment import (
     render_report,
     run_experiment,
     save_report,
+    train_and_score,
 )
 from .pgm import from_unit, write_pgm
 from .svd import TruncationRule
@@ -66,6 +68,20 @@ def _parse_arch(text: str) -> tuple[tuple[int, int, int], int]:
     except ValueError as exc:
         raise ConfigError(f"--arch wants four integers, got {text!r}") from exc
     return (c1, c2, c3), hidden
+
+
+def _network_config(args, **fields) -> ExperimentConfig:
+    """The network knobs of ``train`` and ``experiment`` (plus ``fields``)."""
+    channels, hidden = _parse_arch(args.arch)
+    return ExperimentConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        seed=args.seed,
+        channels=channels,
+        hidden=hidden,
+        **fields,
+    )
 
 
 def _rules(args) -> tuple[TruncationRule, ...]:
@@ -139,6 +155,11 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _print_split_counts(split: DatasetSplit) -> None:
+    counts = split.counts()
+    print("split frames: " + " ".join(f"{n}={counts[n]}" for n in sorted(counts)))
+
+
 def cmd_synth(args) -> int:
     spec = (
         SyntheticSpec.from_config_file(args.spec) if args.spec else SyntheticSpec()
@@ -152,12 +173,8 @@ def cmd_synth(args) -> int:
     split = split_dataset(samples, policy, seed=spec.seed, view=out.name)
     write_manifest(split, out / MANIFEST_NAME)
     (out / "spec.txt").write_text(spec.to_config_text(), encoding="utf-8")
-    counts = split.counts()
     print(f"wrote {len(samples)} samples under {out}")
-    print(
-        "split frames: "
-        + " ".join(f"{name}={counts[name]}" for name in sorted(counts))
-    )
+    _print_split_counts(split)
     return 0
 
 
@@ -170,12 +187,8 @@ def cmd_ingest_check(args) -> int:
         frames = sum(len(s.frames) for s in group)
         print(f"  {label.code}: {len(group)} samples, {frames} frames")
     print(f"frame shape: {shape[0]}x{shape[1]}")
-    counts = split.counts()
-    print(
-        "split frames: "
-        + " ".join(f"{name}={counts[name]}" for name in sorted(counts))
-    )
-    for name in ("train", "validation", "test", "unseen"):
+    _print_split_counts(split)
+    for name in PARTITIONS:
         for image, _ in split.partition(name):
             if not np.isfinite(image).all():
                 raise DataError(f"non-finite pixels in {name} partition")
@@ -240,45 +253,16 @@ def cmd_project(args) -> int:
 
 def cmd_train(args) -> int:
     _, split = _load_split(args)
-    channels, hidden = _parse_arch(args.arch)
-    h, w = split.metadata.frame_shape
-    arch = convnet.Architecture(
-        height=h,
-        width=w,
-        channels=channels,
-        hidden=hidden,
-        classes=len(split.metadata.classes),
-        seed=args.seed,
-    )
-    config = convnet.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
-    data = {
-        name: partition_arrays(split.partition(name))
-        for name in ("train", "validation", "test", "unseen")
-        if split.partition(name)
-    }
-    result = convnet.train(
-        arch, *data["train"], config, validation=data.get("validation")
-    )
+    config = _network_config(args)
+    data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
+    result, scores = train_and_score(split.metadata, data, config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    convnet.save_checkpoint(arch, result.params, out / "checkpoint.bin")
-    (out / "history.json").write_text(
-        json.dumps(result.history, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    scores = {}
-    for name in ("validation", "test", "unseen"):
-        if name in data:
-            images, labels = data[name]
-            predicted = convnet.predict(result.params, images)
-            scores[name] = float((predicted == labels).mean())
-    (out / "evaluation.json").write_text(
-        json.dumps(scores, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    convnet.save_checkpoint(result.arch, result.params, out / "checkpoint.bin")
+    for name, value in (("history", result.history), ("evaluation", scores)):
+        (out / f"{name}.json").write_text(
+            json.dumps(value, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     last = result.history[-1]
     print(
         f"epochs={args.epochs} final train accuracy {last['train_accuracy']:.3g}"
@@ -314,17 +298,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     _, split = _load_split(args)
-    channels, hidden = _parse_arch(args.arch)
-    config = ExperimentConfig(
-        rules=_rules(args),
-        runs=args.runs,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        channels=channels,
-        hidden=hidden,
-    )
+    config = _network_config(args, rules=_rules(args), runs=args.runs)
     report = run_experiment(split, config)
     for row in report["summary"]:
         print(row)

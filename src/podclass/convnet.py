@@ -18,8 +18,6 @@ on the four window corners as strided views of the input.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,10 +25,19 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataFormatError, NumericError, read_exact
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    NumericError,
+    read_array,
+    read_container,
+    read_fields,
+    write_array,
+    write_container,
+    write_fields,
+)
 
 CHECKPOINT_MAGIC = b"EHCN"
-CHECKPOINT_VERSION = 1
 
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-7
@@ -373,6 +380,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    arch: Architecture
     params: Params
     history: list[dict]
 
@@ -458,56 +466,45 @@ def train(
             row["validation_loss"] = val_loss
             row["validation_accuracy"] = val_acc
         history.append(row)
-    return TrainResult(params=params, history=history)
+    return TrainResult(arch=arch, params=params, history=history)
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: little-endian magic + version, the architecture as eight
-# u64 fields (H, W, c1, c2, c3, hidden, classes, seed), then every
-# parameter tensor as float64 in serialization order, C-contiguous.
+# Checkpoints, in the shared container layout (see ``errors``): the
+# architecture as eight u64 fields (H, W, c1, c2, c3, hidden, classes,
+# seed), then every parameter tensor in serialization order, row-major.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(arch: Architecture, params: Params, path: str | Path) -> None:
-    with open(path, "wb") as stream:
-        stream.write(CHECKPOINT_MAGIC)
-        stream.write(struct.pack("<I", CHECKPOINT_VERSION))
-        stream.write(
-            struct.pack(
-                "<8Q",
-                arch.height,
-                arch.width,
-                *arch.channels,
-                arch.hidden,
-                arch.classes,
-                arch.seed,
-            )
+    with write_container(path, CHECKPOINT_MAGIC) as stream:
+        write_fields(
+            stream,
+            "8Q",
+            arch.height,
+            arch.width,
+            *arch.channels,
+            arch.hidden,
+            arch.classes,
+            arch.seed,
         )
         for array in params.arrays():
-            stream.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            write_array(stream, array, "C")
 
 
 def load_checkpoint(path: str | Path) -> tuple[Architecture, Params]:
     path = Path(path)
-    with open(path, "rb") as stream:
-        magic = read_exact(stream, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(stream, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        fields = struct.unpack("<8Q", read_exact(stream, 64, "architecture"))
+    with read_container(path, CHECKPOINT_MAGIC, "parameters") as stream:
+        fields = read_fields(stream, "8Q", "architecture")
         h, w, c1, c2, c3, hidden, classes, seed = fields
         try:
             arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
         except ConfigError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
-        arrays = []
-        for name, shape in param_shapes(arch).items():
-            data = read_exact(stream, 8 * math.prod(shape), name)
-            arrays.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
-        if stream.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after parameters")
+        arrays = [
+            read_array(stream, shape, name, "C")
+            for name, shape in param_shapes(arch).items()
+        ]
     for array in arrays:
         if not np.isfinite(array).all():
             raise NumericError(f"{path}: non-finite parameter values")

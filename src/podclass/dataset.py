@@ -181,8 +181,8 @@ class SyntheticSpec:
             raise ConfigError("need 1 <= intrinsic_rank < frames_per_class")
         if self.image_side < 8:
             raise ConfigError("image_side must be at least 8")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
+        if not 0 <= self.noise_level < float("inf"):
+            raise ConfigError("noise_level must be finite and nonnegative")
 
     @classmethod
     def from_config_file(cls, path: str | Path) -> "SyntheticSpec":
@@ -251,8 +251,30 @@ def group_by_class(samples: Iterable[Sample]) -> dict[ClassLabel, list[Sample]]:
     return {label: grouped[label] for label in sorted(grouped, key=lambda l: l.id)}
 
 
-def class_roster(samples: Iterable[Sample]) -> tuple[ClassLabel, ...]:
-    return tuple(group_by_class(samples).keys())
+def _assemble_split(
+    samples: Sequence[Sample],
+    parts: dict[str, list[Pair]],
+    origins: dict[str, list[Origin]],
+    view: str,
+) -> DatasetSplit:
+    """The split of ``samples`` whose partitions are ``parts``, with the
+    class roster of all samples and the frame shape they must all share."""
+    if not samples:
+        raise CapacityError("no samples to split")
+    shape = samples[0].frame_shape
+    for sample in samples:
+        if sample.frame_shape != shape:
+            raise DataFormatError(
+                f"sample {sample.label.code}/{sample.sample_id} has frame shape "
+                f"{sample.frame_shape}, expected {shape}"
+            )
+    roster = tuple(group_by_class(samples))
+    meta = SplitMetadata(view=view, frame_shape=shape, classes=roster)
+    return DatasetSplit(
+        **parts,
+        metadata=meta,
+        origins={name: tuple(origins[name]) for name in PARTITIONS},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +354,6 @@ def split_from_manifest(
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest {path} does not exist")
-    if not samples:
-        raise CapacityError("no samples to apply the manifest to")
-    roster = class_roster(samples)
     by_key = {(s.label.code, s.sample_id): s for s in samples}
     parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
     origins: dict[str, list[Origin]] = {name: [] for name in PARTITIONS}
@@ -360,6 +379,10 @@ def split_from_manifest(
         if not (frame_tok.isascii() and frame_tok.isdigit()):
             raise DataFormatError(
                 f"{path}:{lineno}: frame index {frame_tok!r} is not ASCII digits"
+            )
+        if len(frame_tok) > 18:  # int() stops at 4300 digits; no sample has 1e18 frames
+            raise DataFormatError(
+                f"{path}:{lineno}: frame index has {len(frame_tok)} digits"
             )
         frame_idx = int(frame_tok)
         if not 0 <= frame_idx < len(sample.frames):
@@ -390,16 +413,7 @@ def split_from_manifest(
             f"{path}: samples {sorted(used & held)} appear both in training "
             "partitions and in unseen"
         )
-    shape = samples[0].frame_shape
-    meta = SplitMetadata(view=view, frame_shape=shape, classes=roster)
-    return DatasetSplit(
-        train=parts["train"],
-        validation=parts["validation"],
-        test=parts["test"],
-        unseen=parts["unseen"],
-        metadata=meta,
-        origins={name: tuple(origins[name]) for name in PARTITIONS},
-    )
+    return _assemble_split(samples, parts, origins, view)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +460,6 @@ def split_dataset(
     systematically receives the early frames of every recording.
     """
     by_class = group_by_class(samples)
-    if not by_class:
-        raise CapacityError("no samples to split")
-    shape = samples[0].frame_shape
-    for sample in samples:
-        if sample.frame_shape != shape:
-            raise DataFormatError(
-                f"sample {sample.sample_id} has frame shape {sample.frame_shape}, "
-                f"expected {shape}"
-            )
     needed = policy.train_samples + policy.unseen_samples
     rng = np.random.default_rng(seed)
     parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
@@ -493,15 +498,7 @@ def split_dataset(
             for k in range(policy.frames_per_sample):
                 parts["unseen"].append((sample.frames[k], label))
                 origins["unseen"].append((sample.sample_id, k))
-    meta = SplitMetadata(view=view, frame_shape=shape, classes=tuple(by_class.keys()))
-    return DatasetSplit(
-        train=parts["train"],
-        validation=parts["validation"],
-        test=parts["test"],
-        unseen=parts["unseen"],
-        metadata=meta,
-        origins={name: tuple(origins[name]) for name in PARTITIONS},
-    )
+    return _assemble_split(samples, parts, origins, view)
 
 
 def partition_arrays(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:

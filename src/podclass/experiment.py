@@ -34,7 +34,7 @@ import numpy as np
 
 from . import convnet
 from .basis import BasisLibrary, fit_classes, library_from_fits, project_pairs
-from .dataset import DatasetSplit, Pair, partition_arrays
+from .dataset import PARTITIONS, DatasetSplit, SplitMetadata, partition_arrays
 from .errors import ConfigError
 from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
@@ -68,10 +68,6 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate truncation arms: {names}")
 
 
-def _partitions(split: DatasetSplit) -> dict[str, Sequence[Pair]]:
-    return {name: split.partition(name) for name in ("train",) + EVAL_PARTITIONS}
-
-
 def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
     """Nearest-subspace accuracy and confusion per evaluation partition."""
     out: dict = {}
@@ -89,30 +85,45 @@ def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
     return out
 
 
-def _train_and_score(
-    arch_seedless: dict,
+def train_and_score(
+    metadata: SplitMetadata,
     data: dict[str, tuple[np.ndarray, np.ndarray]],
     config: ExperimentConfig,
     seed: int,
-) -> dict:
-    """One network of one arm: train it from ``seed`` and score it on every
-    evaluation partition present."""
-    arch = convnet.Architecture(seed=seed, **arch_seedless)
+) -> tuple[convnet.TrainResult, dict[str, float]]:
+    """Train one network from ``seed`` on ``data["train"]``, validating on
+    ``data["validation"]`` when present, and score it on every evaluation
+    partition present. Weight initialization and epoch shuffles both use
+    ``seed``."""
+    if "train" not in data:
+        raise ConfigError("training needs a nonempty train partition")
+    h, w = metadata.frame_shape
+    arch = convnet.Architecture(
+        h, w, config.channels, config.hidden, len(metadata.classes), seed
+    )
     train_cfg = convnet.TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=seed,
+        config.epochs, config.batch_size, config.learning_rate, seed
     )
     result = convnet.train(
         arch, *data["train"], train_cfg, validation=data.get("validation")
     )
-    row: dict = {"seed": seed, "final": result.history[-1]}
-    for name in EVAL_PARTITIONS:
-        if name in data:
-            images, labels = data[name]
-            row[name] = accuracy(labels, convnet.predict(result.params, images))
-    return row
+    scores = {
+        name: accuracy(data[name][1], convnet.predict(result.params, data[name][0]))
+        for name in EVAL_PARTITIONS
+        if name in data
+    }
+    return result, scores
+
+
+def _train_and_score(
+    metadata: SplitMetadata,
+    data: dict[str, tuple[np.ndarray, np.ndarray]],
+    config: ExperimentConfig,
+    seed: int,
+) -> dict:
+    """One network of one arm as a report row."""
+    result, scores = train_and_score(metadata, data, config, seed)
+    return {"seed": seed, "final": result.history[-1], **scores}
 
 
 @functools.cache
@@ -167,7 +178,7 @@ def _run_worker_job(index: int) -> dict:
 
 
 def _network_runs(
-    arch_seedless: dict,
+    metadata: SplitMetadata,
     arm_data: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]],
     config: ExperimentConfig,
 ) -> dict[str, dict]:
@@ -181,7 +192,7 @@ def _network_runs(
     order to raise decides the exception.
     """
     jobs = [
-        (arch_seedless, data, config, config.seed + i)
+        (metadata, data, config, config.seed + i)
         for data in arm_data.values()
         for i in range(config.runs)
     ]
@@ -238,15 +249,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     """Execute every arm and assemble the deterministic report."""
     if not split.train:
         raise ConfigError("experiment needs a nonempty train partition")
-    h, w = split.metadata.frame_shape
-    arch_seedless = {
-        "height": h,
-        "width": w,
-        "channels": config.channels,
-        "hidden": config.hidden,
-        "classes": len(split.metadata.classes),
-    }
-    raw_parts = _partitions(split)
+    raw_parts = {n: pairs for n in PARTITIONS if (pairs := split.partition(n))}
 
     arms: dict[str, dict] = {}
     arm_data: dict[str, dict] = {}
@@ -258,9 +261,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     libraries = _libraries(split, (hard,) + config.rules)
     baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
     raw_library = libraries[hard]
-    arm_data["raw"] = {
-        name: partition_arrays(pairs) for name, pairs in raw_parts.items() if pairs
-    }
+    arm_data["raw"] = {n: partition_arrays(pairs) for n, pairs in raw_parts.items()}
     arms["raw"] = {
         "kind": "raw",
         "baseline_rank_rule": hard.describe(),
@@ -274,7 +275,6 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
         arm_data[rule.arm_name] = {
             name: partition_arrays(project_pairs(library, pairs))
             for name, pairs in raw_parts.items()
-            if pairs
         }
         arms[rule.arm_name] = {
             "kind": "projected",
@@ -284,7 +284,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
             "warnings": library.provenance["warnings"],
         }
 
-    for name, network in _network_runs(arch_seedless, arm_data, config).items():
+    for name, network in _network_runs(split.metadata, arm_data, config).items():
         arms[name]["network"] = network
 
     report = {

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -7,14 +8,9 @@ import pytest
 from podclass.cli import main
 from podclass.convnet import load_checkpoint
 from podclass.dataset import load_dataset, split_from_manifest
-from podclass.basis import (
-    FORMAT_VERSION,
-    LIBRARY_MAGIC,
-    build_library,
-    load_library,
-    project_pairs,
-)
-from podclass.pgm import read_pgm
+from podclass.basis import LIBRARY_MAGIC, build_library, load_library, project_pairs
+from podclass.errors import FORMAT_VERSION
+from podclass.pgm import read_pgm, write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +130,23 @@ def test_train_writes_outputs(data_dir, tmp_path):
     assert set(scores) == {"validation", "test", "unseen"}
 
 
+def test_train_without_train_partition_exit_2(data_dir, tmp_path, capsys):
+    # it used to end in a KeyError traceback
+    lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{line}\n" for line in lines if not line.startswith("train\t")),
+        encoding="utf-8",
+    )
+    args = [
+        "train", "--data", str(data_dir), "--manifest", str(manifest),
+        "--epochs", "1", "--arch", "2,4,4,8", "--out", str(tmp_path / "model"),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: training needs a nonempty train partition\n"
+
+
 def test_experiment_writes_deterministic_report(data_dir, tmp_path, capsys):
     args = [
         "experiment", "--data", str(data_dir), "--rank", "3", "--runs", "1",
@@ -228,6 +241,7 @@ def _frame_token(token):
         _frame_token("0_1"),
         _frame_token(" 1"),
         _frame_token("+1"),
+        _frame_token("0" * 4400 + "1"),
     ],
     ids=[
         "duplicate-frame",
@@ -235,6 +249,7 @@ def _frame_token(token):
         "underscore-frame",
         "space-frame",
         "plus-frame",
+        "4401-digit-frame",
     ],
 )
 def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit):
@@ -249,6 +264,28 @@ def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit):
         n for n, (new, old) in enumerate(zip(edited, lines + [None]), 1) if new != old
     )
     assert capsys.readouterr().err.startswith(f"error: {manifest}:{lineno}: ")
+
+
+def test_ingest_check_mixed_frame_shapes_exit_3(data_dir, tmp_path, capsys):
+    # the manifest path used to accept the tree; every later command then
+    # failed with exit 2 on the library's dimension check
+    root = tmp_path / "data"
+    shutil.copytree(data_dir, root)
+    for path in (root / "C1").glob("*/*.pgm"):
+        write_pgm(path, read_pgm(path)[:8, :8])
+    assert main(["ingest-check", "--data", str(root)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: sample C1/s00 has frame shape (8, 8), expected (16, 16)\n"
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_non_finite_noise_exit_2(tmp_path, capsys, noise):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"noise={noise}\n", encoding="utf-8")
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "noise_level must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_not_utf8_exit_3(data_dir, tmp_path, capsys):

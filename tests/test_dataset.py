@@ -234,6 +234,28 @@ def test_manifest_rejects_unknown_sample(tmp_path):
         split_from_manifest(samples, path)
 
 
+def _split_by_policy(samples, tmp_path):
+    return split_dataset(samples, SplitPolicy.proportional(3, 1, 6), seed=0)
+
+
+def _split_by_manifest(samples, tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text("train\tC0\ts00\t0000\n")
+    return split_from_manifest(samples, path)
+
+
+@pytest.mark.parametrize(
+    "splitter", [_split_by_policy, _split_by_manifest], ids=["policy", "manifest"]
+)
+def test_split_rejects_mixed_frame_shapes(tmp_path, splitter):
+    samples = make_samples(n_classes=2, n_samples=4, n_frames=6, side=8)
+    cropped = samples[5]  # class C1, sample s01
+    cropped.frames = [frame[:4, :4] for frame in cropped.frames]
+    message = r"^sample C1/s01 has frame shape \(4, 4\), expected \(8, 8\)$"
+    with pytest.raises(DataFormatError, match=message):
+        splitter(samples, tmp_path)
+
+
 # -- disk round trip ---------------------------------------------------------
 
 
@@ -350,3 +372,13 @@ def test_spec_config_rejects_non_utf8_text(tmp_path):
 def test_spec_rejects_bad_rank():
     with pytest.raises(ConfigError):
         SyntheticSpec(frames_per_class=10, intrinsic_rank=10)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_spec_rejects_non_finite_noise(tmp_path, noise):
+    with pytest.raises(ConfigError, match="noise_level must be finite"):
+        SyntheticSpec(noise_level=noise)
+    path = tmp_path / "spec.txt"
+    path.write_text(f"noise={noise}\n")
+    with pytest.raises(ConfigError, match="noise_level must be finite"):
+        SyntheticSpec.from_config_file(path)

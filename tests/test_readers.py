@@ -2,7 +2,8 @@
 
 The binary readers trust no size field: a count larger than what is left
 in the file, undecodable text and structurally impossible headers all end
-in DataFormatError naming the file. PGM frames are fuzzed alongside.
+in DataFormatError naming the file. PGM frames and split manifests are
+fuzzed alongside.
 """
 
 import struct
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from podclass.basis import (
     FACTORS_MAGIC,
-    FORMAT_VERSION,
     LIBRARY_MAGIC,
     BasisLibrary,
     ClassBasis,
@@ -25,14 +25,20 @@ from podclass.basis import (
 )
 from podclass.convnet import (
     CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     Architecture,
     initialize,
     load_checkpoint,
     save_checkpoint,
 )
-from podclass.dataset import ClassLabel
-from podclass.errors import DataFormatError, PodClassError
+from podclass.dataset import (
+    ClassLabel,
+    Sample,
+    SplitPolicy,
+    split_dataset,
+    split_from_manifest,
+    write_manifest,
+)
+from podclass.errors import FORMAT_VERSION, DataFormatError, PodClassError
 from podclass.pgm import read_pgm, write_pgm
 from podclass.svd import thin_svd
 
@@ -105,19 +111,44 @@ def test_factors_with_rank_zero_and_huge_sides_are_refused(tmp_path):
     ids=["huge-channels", "zero-height"],
 )
 def test_corrupt_checkpoint_header_is_a_format_error(tmp_path, fields):
-    data = CHECKPOINT_MAGIC + struct.pack("<I8Q", CHECKPOINT_VERSION, *fields)
+    data = CHECKPOINT_MAGIC + struct.pack("<I8Q", FORMAT_VERSION, *fields)
     with pytest.raises(DataFormatError):
         load_checkpoint(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize("name", ["library", "factors", "checkpoint"])
+def test_containers_share_header_and_end_checks(valid_files, tmp_path, name):
+    valid = valid_files[name]
+    magic = valid[:4].decode("ascii")
+    cases = {
+        b"XXXX" + valid[4:]: f"bad magic b'XXXX', expected {magic!r}",
+        valid[:4] + struct.pack("<I", 2) + valid[8:]: "unsupported format version 2",
+        valid + b"\0": "trailing bytes after ",
+    }
+    for data, message in cases.items():
+        path = _write(tmp_path, data, name)
+        with pytest.raises(DataFormatError) as caught:
+            LOADERS[name](path)
+        assert str(caught.value).startswith(f"{path}: {message}")
+
+
 # -- arbitrary bytes ----------------------------------------------------------
 
+
+# the fixed data every fuzzed manifest is applied to: two classes of three
+# 2-frame samples
+MANIFEST_SAMPLES = [
+    Sample(ClassLabel(c, f"C{c}"), f"s{s:02d}", [np.zeros((2, 2))] * 2)
+    for c in range(2)
+    for s in range(3)
+]
 
 LOADERS = {
     "library": load_library,
     "factors": load_factors,
     "checkpoint": load_checkpoint,
     "pgm": read_pgm,
+    "manifest": lambda path: split_from_manifest(MANIFEST_SAMPLES, path),
 }
 
 
@@ -132,6 +163,8 @@ def valid_files(tmp_path_factory):
     save_factors(thin_svd(rng.normal(size=(3, 2))), root / "factors")
     save_checkpoint(arch, initialize(arch), root / "checkpoint")
     write_pgm(root / "pgm", rng.integers(0, 256, size=(3, 5), dtype=np.uint8))
+    policy = SplitPolicy.for_samples(MANIFEST_SAMPLES)
+    write_manifest(split_dataset(MANIFEST_SAMPLES, policy, seed=0), root / "manifest")
     return {name: (root / name).read_bytes() for name in LOADERS}
 
 
