@@ -23,7 +23,6 @@ from . import convnet
 from .basis import (
     BasisLibrary,
     fit_classes,
-    library_from_fits,
     load_library,
     project_pairs,
     save_factors,
@@ -52,6 +51,7 @@ from .experiment import (
     run_experiment,
     save_report,
     train_and_score,
+    train_libraries,
 )
 from .pgm import from_unit, write_pgm
 from .svd import TruncationRule
@@ -98,9 +98,7 @@ def _train_library(args, split: DatasetSplit) -> BasisLibrary:
     if len(rules) > 1:
         raise ConfigError("this subcommand takes a single truncation rule")
     source = f"train partition of {Path(args.data).name}"
-    return library_from_fits(
-        fit_classes(split.train), split.metadata.frame_shape, rules[0], source
-    )
+    return train_libraries(split, rules, source)[rules[0]]
 
 
 def _load_split(args) -> tuple[list[Sample], DatasetSplit]:

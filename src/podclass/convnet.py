@@ -9,11 +9,15 @@ pure function of its inputs.
 
 Convolutions are patch-matrix GEMMs (Chellapilla, Puri & Simard 2006):
 the padded batch is unrolled once into a (B*H*W, 9*Cin) matrix of 3x3
-patches and multiplied by the kernel reshaped to (9*Cin, Cout). The kernel
-gradient is one GEMM against the same patches; the input gradient is nine
-2-D GEMMs, one per kernel tap, added back at their shifts, and is skipped
-for the first layer, whose input is the images. Pooling works
-on the four window corners as strided views of the input.
+patches and multiplied by the kernel reshaped to (9*Cin, Cout). Training
+keeps that matrix for the backward pass, where the kernel gradient is one
+GEMM against it; the input gradient is nine 2-D GEMMs, one per kernel tap,
+added back at their shifts, and is skipped for the first layer, whose
+input is the images. Pooling works on the four window corners as strided
+views of the input, and comes before the ReLU: relu(maxpool(x)) equals
+maxpool(relu(x)) exactly, and the ReLU then touches a quarter of the
+elements. Inference runs the same layer loop without keeping anything for
+a backward pass and without locating the pooling maxima.
 """
 
 from __future__ import annotations
@@ -79,13 +83,9 @@ class Architecture:
             raise ConfigError("need hidden >= 1 and classes >= 2")
 
     @property
-    def pooled_shape(self) -> tuple[int, int]:
-        return self.height // 8, self.width // 8
-
-    @property
     def flat_dim(self) -> int:
-        h, w = self.pooled_shape
-        return h * w * self.channels[2]
+        """Features after three pools: (H // 8) * (W // 8) * c3."""
+        return (self.height // 8) * (self.width // 8) * self.channels[2]
 
 
 @dataclass(frozen=True)
@@ -163,28 +163,31 @@ def _patches(xp: np.ndarray) -> np.ndarray:
 def conv3x3_forward(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padding stride-1 3x3 convolution; returns (output, padded input)."""
+    """Same-padding stride-1 3x3 convolution; returns (output, patch matrix)."""
     b, h, w, cin = x.shape
     cout = kernel.shape[3]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    out = _patches(xp) @ kernel.reshape(9 * cin, cout)
+    patches = _patches(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))))
+    out = patches @ kernel.reshape(9 * cin, cout)
     out += bias
-    return out.reshape(b, h, w, cout), xp
+    return out.reshape(b, h, w, cout), patches
 
 
 def conv3x3_backward(
-    xp: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray, input_grad: bool = True
+    patches: np.ndarray,
+    kernel: np.ndarray,
+    grad_out: np.ndarray,
+    input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (input, kernel, bias) of the convolution above; the input
-    gradient is None when ``input_grad`` is false (the first layer, whose
-    input is the images)."""
+    """Gradients (input, kernel, bias) of the convolution above, from the
+    patch matrix its forward pass returned; the input gradient is None when
+    ``input_grad`` is false (the first layer, whose input is the images)."""
     b, h, w, cout = grad_out.shape
     cin = kernel.shape[2]
     grad_rows = grad_out.reshape(-1, cout)
-    grad_kernel = (_patches(xp).T @ grad_rows).reshape(kernel.shape)
+    grad_kernel = (patches.T @ grad_rows).reshape(kernel.shape)
     grad_x = None
     if input_grad:
-        grad_xp = np.zeros_like(xp)
+        grad_xp = np.zeros((b, h + 2, w + 2, cin))
         for u in range(3):
             for v in range(3):
                 grad_xp[:, u : u + h, v : v + w, :] += (
@@ -204,16 +207,21 @@ def _corner_views(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i:h:2, j:w:2, :] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool_forward(
+    x: np.ndarray, with_argmax: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """2x2 stride-2 max pooling; odd trailing rows/columns are dropped.
 
     Returns (pooled, argmax) where argmax holds, per window, the index of
     the first maximum in row-major window order (r0c0, r0c1, r1c0, r1c1);
-    the backward pass routes the gradient only there.
+    the backward pass routes the gradient only there. Without
+    ``with_argmax`` (inference) argmax is None.
     """
     c0, c1, c2, c3 = _corner_views(x)
     top, bottom = np.maximum(c0, c1), np.maximum(c2, c3)
     pooled = np.maximum(top, bottom)
+    if not with_argmax:
+        return pooled, None
     # ties go to the top row, then to the left column: the first maximum
     argmax = np.where(top >= bottom, c1 > c0, (c3 > c2) + np.uint8(2))
     return pooled, argmax
@@ -256,30 +264,29 @@ def _as_batch(images: np.ndarray) -> np.ndarray:
     return images
 
 
-def forward(params: Params, images: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits for a batch plus the cache the backward pass needs."""
+def forward(
+    params: Params, images: np.ndarray, cache: dict | None = None
+) -> np.ndarray:
+    """Logits for a batch. Given a ``cache`` dict (training), fills it with
+    what the backward pass needs; without one, keeps nothing."""
     x = _as_batch(images)
-    cache: dict = {"batch": x.shape[0]}
-    for i, (kernel, bias) in enumerate(
-        ((params.kernel1, params.bias1), (params.kernel2, params.bias2),
-         (params.kernel3, params.bias3)),
-        start=1,
-    ):
-        act, xp = conv3x3_forward(x, kernel, bias)
-        mask = act > 0
-        act *= mask  # ReLU in place: one activation buffer per layer
-        pooled, argmax = maxpool_forward(act)
-        cache[f"conv{i}"] = (xp, mask, act.shape, argmax)
-        x = pooled
+    for i in (1, 2, 3):
+        kernel, bias = getattr(params, f"kernel{i}"), getattr(params, f"bias{i}")
+        act, patches = conv3x3_forward(x, kernel, bias)
+        x, argmax = maxpool_forward(act, with_argmax=cache is not None)
+        mask = x > 0
+        x *= mask  # ReLU in place, after pooling: a quarter of the elements
+        if cache is not None:
+            cache[f"conv{i}"] = (patches, mask, act.shape, argmax)
+        del act, patches  # freed before the next layer, unless cached
     flat = x.reshape(x.shape[0], -1)
     hidden_pre = flat @ params.hidden_weight + params.hidden_bias
     hidden_mask = hidden_pre > 0
     hidden = hidden_pre * hidden_mask
     logits = hidden @ params.output_weight + params.output_bias
-    cache.update(
-        pooled_shape=x.shape, flat=flat, hidden_mask=hidden_mask, hidden=hidden
-    )
-    return logits, cache
+    if cache is not None:
+        cache.update(flat=flat, hidden_mask=hidden_mask, hidden=hidden)
+    return logits
 
 
 def loss_and_gradients(
@@ -292,40 +299,31 @@ def loss_and_gradients(
     (probabilities - one-hot) / batch.
     """
     labels = np.asarray(labels)
-    logits, cache = forward(params, images)
-    probs = softmax(logits)
+    cache: dict = {}
+    probs = softmax(forward(params, images, cache))
     loss = cross_entropy(probs, labels)
-    batch = cache["batch"]
+    batch = probs.shape[0]
 
     grad_logits = probs.copy()
     grad_logits[np.arange(batch), labels] -= 1.0
     grad_logits /= batch
 
-    grad_output_weight = cache["hidden"].T @ grad_logits
-    grad_output_bias = grad_logits.sum(axis=0)
+    grads = {
+        "output_weight": cache["hidden"].T @ grad_logits,
+        "output_bias": grad_logits.sum(axis=0),
+    }
     grad_hidden = (grad_logits @ params.output_weight.T) * cache["hidden_mask"]
-    grad_hidden_weight = cache["flat"].T @ grad_hidden
-    grad_hidden_bias = grad_hidden.sum(axis=0)
-    grad_x = (grad_hidden @ params.hidden_weight.T).reshape(cache["pooled_shape"])
-
-    kernels = (params.kernel1, params.kernel2, params.kernel3)
-    grads_conv: list[tuple[np.ndarray, np.ndarray]] = []
+    grads["hidden_weight"] = cache["flat"].T @ grad_hidden
+    grads["hidden_bias"] = grad_hidden.sum(axis=0)
+    grad_x = grad_hidden @ params.hidden_weight.T
     for i in (3, 2, 1):
-        xp, mask, act_shape, argmax = cache[f"conv{i}"]
+        patches, mask, act_shape, argmax = cache.pop(f"conv{i}")
+        grad_x = grad_x.reshape(mask.shape) * mask
         grad_pre = maxpool_backward(grad_x, argmax, act_shape)
-        grad_pre *= mask
-        grad_x, grad_kernel, grad_bias = conv3x3_backward(
-            xp, kernels[i - 1], grad_pre, input_grad=i > 1
+        grad_x, grads[f"kernel{i}"], grads[f"bias{i}"] = conv3x3_backward(
+            patches, getattr(params, f"kernel{i}"), grad_pre, input_grad=i > 1
         )
-        grads_conv.append((grad_kernel, grad_bias))
-    (gk3, gb3), (gk2, gb2), (gk1, gb1) = grads_conv
-
-    grads = Params(
-        kernel1=gk1, bias1=gb1, kernel2=gk2, bias2=gb2, kernel3=gk3, bias3=gb3,
-        hidden_weight=grad_hidden_weight, hidden_bias=grad_hidden_bias,
-        output_weight=grad_output_weight, output_bias=grad_output_bias,
-    )
-    return loss, grads, probs
+    return loss, Params(**grads), probs
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +394,10 @@ def evaluate_network(
     total_loss = 0.0
     correct = 0
     for start in range(0, n, INFERENCE_BATCH):
-        stop = min(start + INFERENCE_BATCH, n)
-        logits, _ = forward(params, images[start:stop])
-        probs = softmax(logits)
-        total_loss += cross_entropy(probs, labels[start:stop]) * (stop - start)
-        correct += int((probs.argmax(axis=1) == labels[start:stop]).sum())
+        batch = labels[start : start + INFERENCE_BATCH]
+        logits = forward(params, images[start : start + batch.size])
+        total_loss += cross_entropy(softmax(logits), batch) * batch.size
+        correct += int((logits.argmax(axis=1) == batch).sum())
     return total_loss / n, correct / n
 
 
@@ -409,7 +406,7 @@ def predict(params: Params, images: np.ndarray) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     out = []
     for start in range(0, images.shape[0], INFERENCE_BATCH):
-        logits, _ = forward(params, images[start : start + INFERENCE_BATCH])
+        logits = forward(params, images[start : start + INFERENCE_BATCH])
         out.append(logits.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 

@@ -198,10 +198,10 @@ class SyntheticSpec:
         }
         values: dict[str, float] = {}
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -364,7 +364,10 @@ def split_from_manifest(
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}:{lineno}: not UTF-8 text") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Lines end at "\n" alone, as in the count above; str.splitlines would
+    # also end them at form feeds and other separators.
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        raw = raw.removesuffix("\r")
         if not raw.strip():
             continue
         fields = raw.split("\t")

@@ -107,11 +107,13 @@ def train_and_score(
     result = convnet.train(
         arch, *data["train"], train_cfg, validation=data.get("validation")
     )
-    scores = {
-        name: accuracy(data[name][1], convnet.predict(result.params, data[name][0]))
-        for name in EVAL_PARTITIONS
-        if name in data
-    }
+    scores = {}
+    if "validation" in data:  # the last epoch scored it with the final parameters
+        scores["validation"] = result.history[-1]["validation_accuracy"]
+    for name in ("test", "unseen"):
+        if name in data:
+            images, labels = data[name]
+            scores[name] = accuracy(labels, convnet.predict(result.params, images))
     return result, scores
 
 
@@ -230,17 +232,15 @@ def _network_runs(
     return out
 
 
-def _libraries(
-    split: DatasetSplit, rules: Sequence[TruncationRule]
+def train_libraries(
+    split: DatasetSplit, rules: Sequence[TruncationRule], source: str
 ) -> dict[TruncationRule, BasisLibrary]:
-    """One library per distinct rule, all truncated from a single fit per
-    class of the train partition; the untruncated fits do not outlive the
+    """One library of the train partition per distinct rule, all truncated
+    from a single fit per class; the untruncated fits do not outlive the
     call."""
     fits = fit_classes(split.train)
     return {
-        rule: library_from_fits(
-            fits, split.metadata.frame_shape, rule, source="train partition"
-        )
+        rule: library_from_fits(fits, split.metadata.frame_shape, rule, source)
         for rule in dict.fromkeys(rules)
     }
 
@@ -258,7 +258,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     # it borrows the hard-threshold library; the network sees raw pixels.
     # A projected arm under that same rule shares library and baseline.
     hard = TruncationRule()
-    libraries = _libraries(split, (hard,) + config.rules)
+    libraries = train_libraries(split, (hard,) + config.rules, "train partition")
     baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
     raw_library = libraries[hard]
     arm_data["raw"] = {n: partition_arrays(pairs) for n, pairs in raw_parts.items()}

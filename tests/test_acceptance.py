@@ -182,7 +182,8 @@ def test_analytic_gradients_match_finite_differences():
         _, grads, _ = convnet.loss_and_gradients(params, images, labels)
 
         def probe():
-            logits, cache = convnet.forward(params, images)
+            cache: dict = {}
+            logits = convnet.forward(params, images, cache)
             loss = convnet.cross_entropy(convnet.softmax(logits), labels)
             parts = []
             for name in ("conv1", "conv2", "conv3"):

@@ -223,6 +223,13 @@ def _garble_frame_token(lines):
     return ["\t".join((part, code, sample, "x1"))] + lines[1:]
 
 
+def _form_feed_join(lines):
+    # str.splitlines() would end the first line at the form feed
+    part, code, sample, frame = lines[0].split("\t")
+    joined = "\t".join((part, code, sample, frame + "\x0c" + lines[1]))
+    return [joined] + lines[2:]
+
+
 def _frame_token(token):
     # int() reads the token as frame 1, so the edited line keeps its frame
     def edit(lines):
@@ -238,6 +245,7 @@ def _frame_token(token):
     [
         _leak_train_frame_into_test,
         _garble_frame_token,
+        _form_feed_join,
         _frame_token("0_1"),
         _frame_token(" 1"),
         _frame_token("+1"),
@@ -246,6 +254,7 @@ def _frame_token(token):
     ids=[
         "duplicate-frame",
         "non-integer-frame",
+        "form-feed-line",
         "underscore-frame",
         "space-frame",
         "plus-frame",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from podclass import convnet
 from podclass.convnet import (
@@ -21,6 +22,7 @@ from podclass.convnet import (
     train,
 )
 from podclass.errors import ConfigError, DataFormatError
+from podclass.metrics import accuracy
 
 from oracles import (
     finite_difference_gradients,
@@ -55,9 +57,9 @@ def test_conv_backward_matches_finite_differences(rng):
         out, _ = conv3x3_forward(x, kernel, bias)
         return 0.5 * ((out - target) ** 2).sum()
 
-    out, xp = conv3x3_forward(x, kernel, bias)
+    out, patches = conv3x3_forward(x, kernel, bias)
     grad_out = out - target
-    gx, gk, gb = conv3x3_backward(xp, kernel, grad_out)
+    gx, gk, gb = conv3x3_backward(patches, kernel, grad_out)
     fx, fk, fb = finite_difference_gradients(loss, [x, kernel, bias])
     assert np.abs(gx - fx).max() <= 1e-6
     assert np.abs(gk - fk).max() <= 1e-6
@@ -78,9 +80,11 @@ def test_conv_forward_matches_loop_reference(rng, cin, h, w):
     x = rng.normal(size=(3, h, w, cin))
     kernel = rng.normal(size=(3, 3, cin, 4))
     bias = rng.normal(size=4)
-    ours, xp = conv3x3_forward(x, kernel, bias)
+    ours, patches = conv3x3_forward(x, kernel, bias)
     assert np.abs(ours - reference_conv3x3(x, kernel, bias)).max() <= 1e-12
-    assert np.array_equal(xp[:, 1:-1, 1:-1, :], x)
+    # the centre tap's columns of the patch matrix are the input itself
+    assert patches.shape == (3 * h * w, 9 * cin)
+    assert np.array_equal(patches[:, 4 * cin : 5 * cin], x.reshape(-1, cin))
 
 
 @LAYER_SHAPES
@@ -89,8 +93,8 @@ def test_conv_backward_matches_loop_reference(rng, cin, h, w):
     kernel = rng.normal(size=(3, 3, cin, 4))
     bias = rng.normal(size=4)
     grad_out = rng.normal(size=(3, h, w, 4))
-    _, xp = conv3x3_forward(x, kernel, bias)
-    ours = conv3x3_backward(xp, kernel, grad_out)
+    _, patches = conv3x3_forward(x, kernel, bias)
+    ours = conv3x3_backward(patches, kernel, grad_out)
     expected = reference_conv3x3_backward(x, kernel, grad_out)
     for got, want in zip(ours, expected):
         assert got.shape == want.shape
@@ -223,8 +227,8 @@ def test_skipped_image_gradient_leaves_parameter_gradients_bit_identical(
     labels = rng.integers(0, 3, size=7)
     loss, grads, probs = loss_and_gradients(params, images, labels)
 
-    def every_input_gradient(xp, kernel, grad_out, input_grad=True):
-        out = conv3x3_backward(xp, kernel, grad_out)
+    def every_input_gradient(patches, kernel, grad_out, input_grad=True):
+        out = conv3x3_backward(patches, kernel, grad_out)
         assert out[0] is not None
         return out
 
@@ -236,13 +240,144 @@ def test_skipped_image_gradient_leaves_parameter_gradients_bit_identical(
         assert got.tobytes() == want.tobytes()
 
 
+def _relu_then_pool_reference(params, images, labels):
+    """Loss, probabilities, gradients and pre-activations computed the way
+    the network did before pooling moved ahead of the ReLU: ReLU on the
+    full activation, then pooling, and in the backward pass every patch
+    matrix rebuilt from the padded layer input."""
+
+    def patches_of(xp):
+        windows = sliding_window_view(xp, (3, 3), axis=(1, 2))
+        return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xp.shape[3])
+
+    x = images[:, :, :, None]
+    batch = x.shape[0]
+    layers, pre_activations = [], []
+    for i in (1, 2, 3):
+        kernel, bias = getattr(params, f"kernel{i}"), getattr(params, f"bias{i}")
+        b, h, w, cin = x.shape
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        act = patches_of(xp) @ kernel.reshape(9 * cin, -1)
+        act += bias
+        act = act.reshape(b, h, w, -1)
+        pre_activations.append(act.copy())
+        mask = act > 0
+        act *= mask
+        x, argmax = maxpool_forward(act)
+        layers.append((xp, mask, act.shape, argmax))
+    flat = x.reshape(batch, -1)
+    hidden_pre = flat @ params.hidden_weight + params.hidden_bias
+    hidden_mask = hidden_pre > 0
+    hidden = hidden_pre * hidden_mask
+    probs = softmax(hidden @ params.output_weight + params.output_bias)
+    loss = cross_entropy(probs, labels)
+
+    grad_logits = probs.copy()
+    grad_logits[np.arange(batch), labels] -= 1.0
+    grad_logits /= batch
+    grads = {
+        "output_weight": hidden.T @ grad_logits,
+        "output_bias": grad_logits.sum(axis=0),
+    }
+    grad_hidden = (grad_logits @ params.output_weight.T) * hidden_mask
+    grads["hidden_weight"] = flat.T @ grad_hidden
+    grads["hidden_bias"] = grad_hidden.sum(axis=0)
+    grad_x = (grad_hidden @ params.hidden_weight.T).reshape(x.shape)
+    for i in (3, 2, 1):
+        xp, mask, act_shape, argmax = layers[i - 1]
+        kernel = getattr(params, f"kernel{i}")
+        grad_pre = maxpool_backward(grad_x, argmax, act_shape)
+        grad_pre *= mask
+        b, h, w, cout = grad_pre.shape
+        grad_rows = grad_pre.reshape(-1, cout)
+        grads[f"kernel{i}"] = (patches_of(xp).T @ grad_rows).reshape(kernel.shape)
+        grads[f"bias{i}"] = np.ones(grad_rows.shape[0]) @ grad_rows
+        grad_xp = np.zeros_like(xp)
+        for u in range(3):
+            for v in range(3):
+                grad_xp[:, u : u + h, v : v + w, :] += (
+                    grad_rows @ kernel[u, v].T
+                ).reshape(b, h, w, -1)
+        grad_x = grad_xp[:, 1:-1, 1:-1, :]
+    return loss, probs, Params(**grads), pre_activations
+
+
+def _window_counts(pre):
+    """(windows whose four inputs are all <= 0, windows whose positive
+    maximum is tied) of 2x2 pooling over one layer's pre-activations."""
+    b, h, w, c = pre.shape
+    windows = pre[:, : h // 2 * 2, : w // 2 * 2].reshape(b, h // 2, 2, w // 2, 2, c)
+    top = windows.max(axis=(2, 4), keepdims=True)
+    tied = (windows == top).sum(axis=(2, 4)) > 1
+    top = top[:, :, 0, :, 0]
+    return int((top <= 0).sum()), int((tied & (top > 0)).sum())
+
+
+def _integer_params(arch, rng):
+    # small integer kernels and biases keep every convolution exact, so
+    # tied maxima, exact zeros and all-negative windows are common
+    params = initialize(arch)
+    arrays = [
+        rng.integers(-1, 2, size=a.shape).astype(np.float64)
+        if name.startswith(("kernel", "bias"))
+        else a
+        for name, a in zip(convnet.PARAM_FIELDS, params.arrays())
+    ]
+    return Params.from_arrays(arrays)
+
+
+@pytest.mark.parametrize("values", ["integer", "normal"])
+@pytest.mark.parametrize("h, w", [(9, 11), (16, 16)])
+def test_pool_then_relu_is_bit_identical_to_relu_then_pool(rng, values, h, w):
+    arch = Architecture(height=h, width=w, channels=(3, 4, 5), hidden=6, classes=3)
+    if values == "integer":
+        params = _integer_params(arch, rng)
+        images = rng.integers(0, 3, size=(6, h, w)).astype(np.float64)
+    else:
+        params = initialize(arch)
+        images = rng.uniform(0, 1, size=(6, h, w))
+    labels = rng.integers(0, 3, size=6)
+    loss, grads, probs = loss_and_gradients(params, images, labels)
+    want_loss, want_probs, want_grads, pre = _relu_then_pool_reference(
+        params, images, labels
+    )
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert probs.tobytes() == want_probs.tobytes()
+    for name, got, want in zip(
+        convnet.PARAM_FIELDS, grads.arrays(), want_grads.arrays()
+    ):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    if values == "integer":
+        counts = [_window_counts(p) for p in pre]
+        assert sum(c[0] for c in counts) > 0  # all-negative windows
+        assert sum(c[1] for c in counts) > 0  # tied positive maxima
+
+
+def test_inference_forward_matches_training_forward(rng):
+    arch = Architecture(height=9, width=11, channels=(3, 4, 5), hidden=6, classes=3)
+    params = initialize(arch)
+    images = rng.uniform(0, 1, size=(5, 9, 11))
+    cache: dict = {}
+    trained = convnet.forward(params, images, cache)
+    assert convnet.forward(params, images).tobytes() == trained.tobytes()
+    assert {"conv1", "conv2", "conv3", "flat", "hidden"} <= set(cache)
+    # the last epoch's validation accuracy is the one predict gives with the
+    # final parameters, which is what an experiment report row carries
+    labels = rng.integers(0, 3, size=5)
+    cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-2, seed=0)
+    result = train(arch, images, labels, cfg, validation=(images, labels))
+    predicted = convnet.predict(result.params, images)
+    assert result.history[-1]["validation_accuracy"] == accuracy(labels, predicted)
+
+
 def test_conv_backward_can_skip_the_input_gradient(rng):
     x = rng.normal(size=(2, 6, 5, 3))
     kernel = rng.normal(size=(3, 3, 3, 4))
-    _, xp = conv3x3_forward(x, kernel, rng.normal(size=4))
+    _, patches = conv3x3_forward(x, kernel, rng.normal(size=4))
     grad_out = rng.normal(size=(2, 6, 5, 4))
-    _, grad_kernel, grad_bias = conv3x3_backward(xp, kernel, grad_out)
-    skipped = conv3x3_backward(xp, kernel, grad_out, input_grad=False)
+    _, grad_kernel, grad_bias = conv3x3_backward(patches, kernel, grad_out)
+    skipped = conv3x3_backward(patches, kernel, grad_out, input_grad=False)
     assert skipped[0] is None
     assert np.array_equal(skipped[1], grad_kernel)
     assert np.array_equal(skipped[2], grad_bias)

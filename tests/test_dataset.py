@@ -190,6 +190,20 @@ def test_manifest_round_trip(tmp_path):
             assert np.array_equal(img_a, img_b)
 
 
+def test_manifest_lines_end_at_newline_only(tmp_path):
+    samples = make_samples(n_classes=1, n_samples=1, n_frames=2)
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(b"train\tC0\ts00\t0000\r\ntest\tC0\ts00\t0001\r\n")
+    split = split_from_manifest(samples, path)
+    assert split.origins["train"] == (("s00", 0),)
+    assert split.origins["test"] == (("s00", 1),)
+    # a form feed is no line end: line 1 holds seven fields
+    path.write_text("train\tC0\ts00\t0000\x0ctrain\tC0\ts00\t0001\n")
+    where = re.escape(str(path))
+    with pytest.raises(DataFormatError, match=rf"^{where}:1: expected 4"):
+        split_from_manifest(samples, path)
+
+
 def test_manifest_rejects_overlapping_unseen(tmp_path):
     samples = make_samples(n_classes=1, n_samples=2, n_frames=2)
     lines = [
@@ -353,6 +367,15 @@ def test_spec_config_round_trip(tmp_path, tiny_spec):
     path = tmp_path / "spec.txt"
     path.write_text(tiny_spec.to_config_text())
     assert SyntheticSpec.from_config_file(path) == tiny_spec
+
+
+def test_spec_config_lines_end_at_newline_only(tmp_path, tiny_spec):
+    path = tmp_path / "spec.txt"
+    path.write_bytes(tiny_spec.to_config_text().replace("\n", "\r\n").encode())
+    assert SyntheticSpec.from_config_file(path) == tiny_spec
+    path.write_text("classes=3\x0cframes=36\n")
+    with pytest.raises(ConfigError, match=r"spec.txt:1: bad value for classes"):
+        SyntheticSpec.from_config_file(path)
 
 
 def test_spec_config_rejects_unknown_key(tmp_path):

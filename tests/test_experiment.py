@@ -75,6 +75,8 @@ def test_report_run_count_and_seeds(small_report, small_config):
         runs = arm["network"]["runs"]
         assert len(runs) == small_config.runs
         assert [r["seed"] for r in runs] == [0, 1]
+        for row in runs:
+            assert row["validation"] == row["final"]["validation_accuracy"]
         for partition in ("validation", "test", "unseen"):
             agg = arm["network"]["aggregate"][partition]
             assert agg.count == small_config.runs
