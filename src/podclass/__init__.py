@@ -52,7 +52,7 @@ from .errors import (
     PodClassError,
 )
 from .experiment import ExperimentConfig, run_experiment, save_report
-from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
+from .metrics import accuracy, aggregate, confusion_matrix
 from .subspace import classify, classify_pairs, residual_matrix
 from .svd import (
     ThinSVD,
@@ -67,7 +67,6 @@ from .svd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregate",
     "Architecture",
     "BasisLibrary",
     "ClassBasis",

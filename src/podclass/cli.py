@@ -12,7 +12,6 @@ malformed data, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +44,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .experiment import (
+    EVAL_PARTITIONS,
     ExperimentConfig,
     baseline_report,
     render_report,
@@ -53,7 +53,6 @@ from .experiment import (
     train_and_score,
     train_libraries,
 )
-from .pgm import from_unit, write_pgm
 from .svd import TruncationRule
 
 MANIFEST_NAME = "manifest.tsv"
@@ -101,16 +100,37 @@ def _train_library(args, split: DatasetSplit) -> BasisLibrary:
     return train_libraries(split, rules, source)[rules[0]]
 
 
-def _load_split(args) -> tuple[list[Sample], DatasetSplit]:
+def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
+    """The library at ``path``, refused unless it has the split's frame shape,
+    no class outside the split's and a basis for every evaluated class."""
+    library = load_library(path)
+    meta = split.metadata
+    if library.frame_shape != meta.frame_shape:
+        raise ConfigError(
+            f"library frame shape {library.frame_shape} does not match "
+            f"dataset {meta.frame_shape}"
+        )
+    based = {basis.label for basis in library.bases}
+    evaluated = {label for n in EVAL_PARTITIONS for _, label in split.partition(n)}
+    for labels, what, problem in (
+        (based - set(meta.classes), "library", "is not a class of the dataset"),
+        (evaluated - based, "evaluated", f"has no basis in library {path}"),
+    ):
+        if labels:
+            label = min(labels, key=lambda label: label.id)
+            raise ConfigError(f"{what} class {label.code} (id {label.id}) {problem}")
+    return library
+
+
+def _load_split(args) -> tuple[list[Sample], DatasetSplit, Path | None]:
+    """Samples, split, and the manifest read (None: split drawn by seed)."""
     samples = load_dataset(args.data)
     manifest = Path(args.manifest) if args.manifest else Path(args.data) / MANIFEST_NAME
     view = Path(args.data).name
     if manifest.is_file():
-        split = split_from_manifest(samples, manifest, view=view)
-    else:
-        policy = SplitPolicy.for_samples(samples)
-        split = split_dataset(samples, policy, seed=args.seed, view=view)
-    return samples, split
+        return samples, split_from_manifest(samples, manifest, view=view), manifest
+    policy = SplitPolicy.for_samples(samples)
+    return samples, split_dataset(samples, policy, seed=args.seed, view=view), None
 
 
 def _add_data_options(sub: argparse.ArgumentParser) -> None:
@@ -177,7 +197,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    samples, split = _load_split(args)
+    samples, split, _ = _load_split(args)
     by_class = group_by_class(samples)
     shape = samples[0].frame_shape
     print(f"classes: {len(by_class)}")
@@ -195,7 +215,7 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_build_basis(args) -> int:
-    _, split = _load_split(args)
+    _, split, _ = _load_split(args)
     library = _train_library(args, split)
     save_library(library, args.out)
     for basis in library.bases:
@@ -207,7 +227,7 @@ def cmd_build_basis(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, split = _load_split(args)
+    _, split, _ = _load_split(args)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,17 +252,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
-    samples, split = _load_split(args)
+    samples, split, manifest = _load_split(args)
     library = _train_library(args, split)
     out = Path(args.out)
-    for sample in samples:
-        sample_dir = out / sample.label.code / sample.sample_id
-        sample_dir.mkdir(parents=True, exist_ok=True)
-        pairs = [(frame, sample.label) for frame in sample.frames]
-        for k, (projected, _) in enumerate(project_pairs(library, pairs)):
-            write_pgm(sample_dir / f"{k:04d}.pgm", from_unit(projected))
-    manifest = Path(args.manifest) if args.manifest else Path(args.data) / MANIFEST_NAME
-    if manifest.is_file():
+    for s in samples:  # one sample's projections in memory at a time
+        pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
+        write_samples([Sample(s.label, s.sample_id, [im for im, _ in pairs])], out)
+    if manifest is not None:
         (out / MANIFEST_NAME).write_bytes(manifest.read_bytes())
     ranks = " ".join(f"{b.label.code}={b.rank}" for b in library.bases)
     print(f"projected dataset written to {out} (ranks: {ranks})")
@@ -250,17 +266,15 @@ def cmd_project(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, split = _load_split(args)
+    _, split, _ = _load_split(args)
     config = _network_config(args)
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
     result, scores = train_and_score(split.metadata, data, config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     convnet.save_checkpoint(result.arch, result.params, out / "checkpoint.bin")
-    for name, value in (("history", result.history), ("evaluation", scores)):
-        (out / f"{name}.json").write_text(
-            json.dumps(value, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    save_report(result.history, out / "history.json")
+    save_report(scores, out / "evaluation.json")
     last = result.history[-1]
     print(
         f"epochs={args.epochs} final train accuracy {last['train_accuracy']:.3g}"
@@ -272,31 +286,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, split = _load_split(args)
+    _, split, _ = _load_split(args)
     if args.library:
-        library = load_library(args.library)
-        if library.frame_shape != split.metadata.frame_shape:
-            raise ConfigError(
-                f"library frame shape {library.frame_shape} does not match "
-                f"dataset {split.metadata.frame_shape}"
-            )
+        library = _saved_library(args.library, split)
     else:
         library = _train_library(args, split)
     report = baseline_report(library, split)
-    for name in ("validation", "test", "unseen"):
-        if name in report:
-            print(f"{name} accuracy {report[name]['accuracy']:.3g}")
+    for name, section in report.items():
+        print(f"{name} accuracy {section['accuracy']:.3g}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        save_report(report, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_experiment(args) -> int:
-    _, split = _load_split(args)
     config = _network_config(args, rules=_rules(args), runs=args.runs)
+    _, split, _ = _load_split(args)
     report = run_experiment(split, config)
     for row in report["summary"]:
         print(row)

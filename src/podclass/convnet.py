@@ -372,8 +372,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -395,7 +395,7 @@ def evaluate_network(
     correct = 0
     for start in range(0, n, INFERENCE_BATCH):
         batch = labels[start : start + INFERENCE_BATCH]
-        logits = forward(params, images[start : start + batch.size])
+        logits = _finite(forward(params, images[start : start + batch.size]))
         total_loss += cross_entropy(softmax(logits), batch) * batch.size
         correct += int((logits.argmax(axis=1) == batch).sum())
     return total_loss / n, correct / n
@@ -406,9 +406,16 @@ def predict(params: Params, images: np.ndarray) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     out = []
     for start in range(0, images.shape[0], INFERENCE_BATCH):
-        logits = forward(params, images[start : start + INFERENCE_BATCH])
+        logits = _finite(forward(params, images[start : start + INFERENCE_BATCH]))
         out.append(logits.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+
+def _finite(logits: np.ndarray) -> np.ndarray:
+    """``logits``, unless a diverged update left them non-finite."""
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits; the network's parameters diverged")
+    return logits
 
 
 def train(

@@ -35,8 +35,8 @@ import numpy as np
 from . import convnet
 from .basis import BasisLibrary, fit_classes, library_from_fits, project_pairs
 from .dataset import PARTITIONS, DatasetSplit, SplitMetadata, partition_arrays
-from .errors import ConfigError
-from .metrics import Aggregate, accuracy, aggregate, confusion_matrix
+from .errors import ConfigError, DataError
+from .metrics import accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
 from .svd import TruncationRule
 
@@ -237,7 +237,12 @@ def train_libraries(
 ) -> dict[TruncationRule, BasisLibrary]:
     """One library of the train partition per distinct rule, all truncated
     from a single fit per class; the untruncated fits do not outlive the
-    call."""
+    call. Every class of another partition must have train frames."""
+    present = {n: {label for _, label in split.partition(n)} for n in PARTITIONS}
+    for label in split.metadata.classes:
+        held = ", ".join(n for n in PARTITIONS if label in present[n])
+        if present["train"] and held and label not in present["train"]:
+            raise DataError(f"class {label.code} is in {held} but not in train")
     fits = fit_classes(split.train)
     return {
         rule: library_from_fits(fits, split.metadata.frame_shape, rule, source)
@@ -318,32 +323,17 @@ def summary_rows(report: dict) -> list[str]:
             ("unseen", "unseen"),
         ):
             if partition in agg:
-                cells.append(f"{label} {agg[partition]}")
+                mean, std = agg[partition]["mean"], agg[partition]["std"]
+                cells.append(f"{label} {mean:.3g}±{std:.3g}")
         rows.append("\t".join(cells))
     return rows
 
 
-def _jsonable(value):
-    if isinstance(value, Aggregate):
-        return {
-            "mean": value.mean,
-            "std": value.std,
-            "count": value.count,
-            "values": list(value.values),
-        }
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+def render_report(report) -> str:
+    """Canonical JSON text of a result: sorted keys, two-space indent."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def render_report(report: dict) -> str:
-    """Canonical JSON text of a report: sorted keys, no timestamps."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
-def save_report(report: dict, path: str | Path) -> None:
+def save_report(report, path: str | Path) -> None:
+    """Write ``report`` (any JSON value) as :func:`render_report` renders it."""
     Path(path).write_text(render_report(report), encoding="utf-8", newline="\n")

@@ -8,7 +8,6 @@ matter what order the runs finished in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,25 +41,16 @@ def confusion_matrix(
     return matrix
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    """Mean and sample standard deviation of one metric across runs."""
-
-    mean: float
-    std: float
-    count: int
-    values: tuple[float, ...]
-
-    def __str__(self) -> str:
-        return f"{self.mean:.3g}±{self.std:.3g}"
-
-
-def aggregate(values: Sequence[float]) -> Aggregate:
-    """Order-independent mean and n-1 standard deviation."""
+def aggregate(values: Sequence[float]) -> dict:
+    """Order-independent mean and n-1 standard deviation, as the report's
+    ``{"mean", "std", "count", "values"}`` (values sorted)."""
     if len(values) == 0:
         raise ConfigError("cannot aggregate zero values")
     ordered = np.sort(np.asarray(values, dtype=np.float64))
-    mean = float(ordered.mean())
     std = float(ordered.std(ddof=1)) if ordered.size > 1 else 0.0
-    return Aggregate(mean=mean, std=std, count=int(ordered.size), values=tuple(ordered))
-
+    return {
+        "mean": float(ordered.mean()),
+        "std": std,
+        "count": int(ordered.size),
+        "values": ordered.tolist(),
+    }

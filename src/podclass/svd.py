@@ -141,6 +141,10 @@ class TruncationRule:
             raise ConfigError("a truncation rule takes a rank or a tolerance, not both")
         if self.rank is not None and self.rank < 1:
             raise ConfigError(f"truncation rank must be positive, got {self.rank}")
+        if self.tolerance is not None and not 0 <= self.tolerance < 1:
+            raise ConfigError(
+                f"energy tolerance must be in [0, 1), got {self.tolerance}"
+            )
 
     @property
     def arm_name(self) -> str:

@@ -298,14 +298,14 @@ def test_projected_training_beats_raw_on_held_out_samples():
     raw = report["arms"]["raw"]["network"]["aggregate"]["unseen"]
     projected = report["arms"]["projected-auto"]["network"]["aggregate"]["unseen"]
     baseline = report["arms"]["projected-auto"]["baseline"]["unseen"]["accuracy"]
-    gap = projected.mean - raw.mean
+    gap = projected["mean"] - raw["mean"]
     elapsed = time.perf_counter() - start
     ok = gap >= 0.10 and baseline >= 0.90 and elapsed < 1200.0
     _record(
         "headline-gap",
         ok,
-        f"unseen accuracy {projected.mean:.3f}±{projected.std:.3f} projected "
-        f"vs {raw.mean:.3f}±{raw.std:.3f} raw, gap {gap:+.3f} (>=0.10); "
+        f"unseen accuracy {projected['mean']:.3f}±{projected['std']:.3f} projected "
+        f"vs {raw['mean']:.3f}±{raw['std']:.3f} raw, gap {gap:+.3f} (>=0.10); "
         f"baseline {baseline:.3f} (>=0.90); {elapsed:.0f}s (<20min)",
     )
 

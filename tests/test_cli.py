@@ -30,6 +30,10 @@ def data_dir(tmp_path_factory, spec_file):
     return out
 
 
+def _assert_canonical_json(text):
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_synth_writes_tree_and_manifest(data_dir):
     assert (data_dir / "manifest.tsv").is_file()
     assert (data_dir / "spec.txt").is_file()
@@ -67,11 +71,16 @@ def test_build_basis_and_evaluate(data_dir, tmp_path, capsys):
     library = load_library(lib)
     assert [b.rank for b in library.bases] == [3, 3, 3]
     capsys.readouterr()
+    report = tmp_path / "evaluation.json"
     assert main(
-        ["evaluate", "--data", str(data_dir), "--library", str(lib)]
+        [
+            "evaluate", "--data", str(data_dir), "--library", str(lib),
+            "--out", str(report),
+        ]
     ) == 0
     out = capsys.readouterr().out
     assert "unseen accuracy" in out
+    _assert_canonical_json(report.read_text(encoding="utf-8"))
 
 
 def test_spectrum_writes_factors(data_dir, tmp_path, capsys):
@@ -128,6 +137,8 @@ def test_train_writes_outputs(data_dir, tmp_path):
     assert len(history) == 2
     scores = json.loads((out / "evaluation.json").read_text())
     assert set(scores) == {"validation", "test", "unseen"}
+    for name in ("history.json", "evaluation.json"):
+        _assert_canonical_json((out / name).read_text(encoding="utf-8"))
 
 
 def test_train_without_train_partition_exit_2(data_dir, tmp_path, capsys):
@@ -161,6 +172,12 @@ def test_experiment_writes_deterministic_report(data_dir, tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
     report = json.loads(r1.read_text())
     assert report["protocol"]["arm_order"] == ["raw", "projected-r3"]
+    _assert_canonical_json(r1.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert main(args) == 0
+    # the summary rows, then the report exactly as --out writes it
+    rows = summary.removesuffix(f"wrote {r1}\n")
+    assert capsys.readouterr().out == rows + r1.read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -341,3 +358,96 @@ def test_experiment_divergence_exit_4(data_dir, capsys):
     with np.errstate(all="ignore"):
         assert main(args) == 4
     assert "training diverged at epoch 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_diverged_final_update_exit_4(data_dir, tmp_path, capsys, command):
+    # one batch per epoch: the loss is finite until the only update diverges,
+    # which used to end in exit 0 and NaN in the JSON
+    out = tmp_path / "out"
+    args = [
+        command, "--data", str(data_dir), "--epochs", "1", "--arch", "2,4,4,8",
+        "--lr", "1e300", "--out", str(out),
+    ]
+    if command == "experiment":
+        args += ["--runs", "1"]
+    with np.errstate(all="ignore"):
+        assert main(args) == 4
+    assert "non-finite logits" in capsys.readouterr().err
+    assert not out.exists()  # no history, scores or report
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_train_non_finite_learning_rate_exit_2(data_dir, tmp_path, capsys, rate):
+    args = [
+        "train", "--data", str(data_dir), "--epochs", "1", "--arch", "2,4,4,8",
+        "--lr", rate, "--out", str(tmp_path / "model"),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: learning_rate must be positive and finite\n"
+
+
+def _tree_copy(data_dir, root, drop=(), rename=None):
+    """A copy of the tree without its manifest, minus the ``drop`` classes,
+    with class directories renamed by ``rename``."""
+    shutil.copytree(data_dir, root)
+    (root / "manifest.tsv").unlink()
+    for code in drop:
+        shutil.rmtree(root / code)
+    for path in sorted(root.iterdir()):
+        if path.is_dir() and rename:
+            path.rename(root / rename(path.name))
+    return root
+
+
+def test_evaluate_library_class_roster_mismatch_exit_2(data_dir, tmp_path, capsys):
+    # both used to exit 0, the renamed copy with unseen accuracy 1
+    lib = tmp_path / "lib.bin"
+    assert main(["build-basis", "--data", str(data_dir), "--out", str(lib)]) == 0
+    renamed = _tree_copy(data_dir, tmp_path / "renamed", rename=lambda c: "X" + c[1:])
+    fewer = _tree_copy(data_dir, tmp_path / "fewer", drop=["C2"])
+    capsys.readouterr()
+    for root, code in ((renamed, "C0 (id 0)"), (fewer, "C2 (id 2)")):
+        assert main(["evaluate", "--data", str(root), "--library", str(lib)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: library class {code} is not a class of the dataset\n"
+    # and a library without one of the dataset's classes
+    small = tmp_path / "small.bin"
+    assert main(["build-basis", "--data", str(fewer), "--out", str(small)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data_dir), "--library", str(small)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: evaluated class C2 (id 2) has no basis in library {small}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "project", "experiment"])
+def test_class_missing_from_train_exit_3(data_dir, tmp_path, capsys, command):
+    # evaluate used to score 0.667 with exit 0; project and experiment
+    # exited 2 with a bare "no basis for class id 2"
+    lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{line}\n" for line in lines if not line.startswith("train\tC2\t")),
+        encoding="utf-8",
+    )
+    args = [command, "--data", str(data_dir), "--manifest", str(manifest)]
+    if command == "project":
+        args += ["--out", str(tmp_path / "proj")]
+    if command == "experiment":
+        args += ["--runs", "1", "--epochs", "1", "--arch", "2,4,4,8"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "error: class C2 is in validation, test, unseen but not in train\n"
+
+
+@pytest.mark.parametrize("tolerance", ["1.5", "nan"])
+def test_experiment_bad_tolerance_exit_2_before_reading_data(
+    tmp_path, capsys, tolerance
+):
+    # it used to fail on the missing data (exit 3), or on good data only
+    # after every class was fitted
+    args = ["experiment", "--data", str(tmp_path / "absent"), "--tolerance", tolerance]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: energy tolerance must be in [0, 1), got {tolerance}\n"

@@ -21,7 +21,7 @@ from podclass.convnet import (
     softmax,
     train,
 )
-from podclass.errors import ConfigError, DataFormatError
+from podclass.errors import ConfigError, DataFormatError, NumericError
 from podclass.metrics import accuracy
 
 from oracles import (
@@ -534,6 +534,26 @@ def test_train_rejects_label_overflow():
     arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=2, seed=0)
     with pytest.raises(ConfigError):
         train(arch, images, labels + 5, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("rate", [0.0, -1e-3, float("inf"), float("nan")])
+def test_train_config_rejects_a_bad_learning_rate(rate):
+    with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=rate)
+
+
+def test_inference_refuses_non_finite_logits(rng):
+    # what a diverged final update leaves: the loss it was computed from
+    # was finite, so only scoring sees the damage
+    params = initialize(TINY)
+    blown = Params.from_arrays(
+        params.arrays()[:-1] + (np.array([np.inf, 0.0, 0.0]),)
+    )
+    images = rng.uniform(0, 1, size=(3, 8, 8))
+    with pytest.raises(NumericError, match="non-finite logits"):
+        convnet.predict(blown, images)
+    with pytest.raises(NumericError, match="non-finite logits"):
+        convnet.evaluate_network(blown, images, np.array([0, 1, 2]))
 
 
 def test_forward_rejects_bad_shapes():

@@ -79,8 +79,8 @@ def test_report_run_count_and_seeds(small_report, small_config):
             assert row["validation"] == row["final"]["validation_accuracy"]
         for partition in ("validation", "test", "unseen"):
             agg = arm["network"]["aggregate"][partition]
-            assert agg.count == small_config.runs
-            assert 0.0 <= agg.mean <= 1.0
+            assert agg["count"] == small_config.runs
+            assert 0.0 <= agg["mean"] <= 1.0
 
 
 def test_baseline_present_per_arm(small_report):

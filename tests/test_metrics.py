@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podclass.errors import ConfigError
+from podclass.experiment import summary_rows
 from podclass.metrics import (
-    Aggregate,
     accuracy,
     aggregate,
     confusion_matrix,
@@ -38,14 +38,15 @@ def test_confusion_rejects_out_of_range():
 
 def test_aggregate_mean_std():
     agg = aggregate([0.8, 0.9, 1.0])
-    assert abs(agg.mean - 0.9) <= 1e-15
-    assert abs(agg.std - 0.1) <= 1e-12  # sample std with n-1
-    assert agg.count == 3
+    assert abs(agg["mean"] - 0.9) <= 1e-15
+    assert abs(agg["std"] - 0.1) <= 1e-12  # sample std with n-1
+    assert agg["count"] == 3
+    assert agg["values"] == [0.8, 0.9, 1.0]
 
 
 def test_aggregate_single_value_has_zero_std():
     agg = aggregate([0.7])
-    assert agg.mean == 0.7 and agg.std == 0.0 and agg.count == 1
+    assert agg == {"mean": 0.7, "std": 0.0, "count": 1, "values": [0.7]}
 
 
 @settings(max_examples=50, deadline=None)
@@ -60,10 +61,14 @@ def test_aggregate_is_permutation_invariant_bitwise(values, shuffler):
     permuted = list(values)
     shuffler.shuffle(permuted)
     b = aggregate(permuted)
-    assert (a.mean, a.std, a.values) == (b.mean, b.std, b.values)
+    assert a == b
 
 
 def test_aggregate_formats_three_significant_figures():
-    agg = Aggregate(mean=0.91234, std=0.01567, count=5, values=(0.9,))
-    assert str(agg) == "0.912±0.0157"
+    agg = {"mean": 0.91234, "std": 0.01567, "count": 5, "values": [0.9]}
+    report = {
+        "protocol": {"arm_order": ["raw"]},
+        "arms": {"raw": {"network": {"aggregate": {"unseen": agg}}}},
+    }
+    assert summary_rows(report) == ["raw\tunseen 0.912±0.0157"]
 

@@ -190,6 +190,9 @@ def test_truncation_rule_is_checked_at_construction():
         TruncationRule(rank=2, tolerance=0.1)
     with pytest.raises(ConfigError):
         TruncationRule(rank=0)
+    for tolerance in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="energy tolerance must be in"):
+            TruncationRule(tolerance=tolerance)
 
 
 def test_truncation_rule_describes_itself():
