@@ -91,13 +91,18 @@ def _rules(args) -> tuple[TruncationRule, ...]:
     return tuple(rules)
 
 
-def _train_library(args, split: DatasetSplit) -> BasisLibrary:
-    """The library of the train partition under the subcommand's one rule."""
+def _rule(args) -> TruncationRule:
+    """The one truncation rule of ``build-basis``, ``project`` and ``evaluate``."""
     rules = _rules(args)
     if len(rules) > 1:
         raise ConfigError("this subcommand takes a single truncation rule")
+    return rules[0]
+
+
+def _train_library(args, split: DatasetSplit, rule: TruncationRule) -> BasisLibrary:
+    """The library of the train partition under ``rule``."""
     source = f"train partition of {Path(args.data).name}"
-    return train_libraries(split, rules, source)[rules[0]]
+    return train_libraries(split, (rule,), source)[rule]
 
 
 def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
@@ -215,8 +220,9 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_build_basis(args) -> int:
+    rule = _rule(args)
     _, split, _ = _load_split(args)
-    library = _train_library(args, split)
+    library = _train_library(args, split, rule)
     save_library(library, args.out)
     for basis in library.bases:
         print(f"{basis.label.code}: rank {basis.rank}")
@@ -252,8 +258,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
+    rule = _rule(args)
     samples, split, manifest = _load_split(args)
-    library = _train_library(args, split)
+    library = _train_library(args, split, rule)
     out = Path(args.out)
     for s in samples:  # one sample's projections in memory at a time
         pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
@@ -266,10 +273,12 @@ def cmd_project(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, split, _ = _load_split(args)
     config = _network_config(args)
+    _, split, _ = _load_split(args)
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
-    result, scores = train_and_score(split.metadata, data, config, args.seed)
+    result, scores = train_and_score(
+        split.metadata, data, config, args.seed, validate_every_epoch=True
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     convnet.save_checkpoint(result.arch, result.params, out / "checkpoint.bin")
@@ -286,11 +295,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.library and (args.rank or args.tolerance or args.gavish):
+        raise ConfigError("--library takes no --rank, --tolerance or --gavish")
+    rule = None if args.library else _rule(args)
     _, split, _ = _load_split(args)
-    if args.library:
+    if rule is None:
         library = _saved_library(args.library, split)
     else:
-        library = _train_library(args, split)
+        library = _train_library(args, split, rule)
     report = baseline_report(library, split)
     for name, section in report.items():
         print(f"{name} accuracy {section['accuracy']:.3g}")

@@ -66,6 +66,13 @@ class ExperimentConfig:
         names = [rule.arm_name for rule in self.rules]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate truncation arms: {names}")
+        self.train_config(self.seed)  # refuses bad training knobs now
+
+    def train_config(self, seed: int) -> convnet.TrainConfig:
+        """The training knobs, with ``seed`` for the epoch shuffles."""
+        return convnet.TrainConfig(
+            self.epochs, self.batch_size, self.learning_rate, seed
+        )
 
 
 def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
@@ -90,26 +97,37 @@ def train_and_score(
     data: dict[str, tuple[np.ndarray, np.ndarray]],
     config: ExperimentConfig,
     seed: int,
+    validate_every_epoch: bool,
 ) -> tuple[convnet.TrainResult, dict[str, float]]:
-    """Train one network from ``seed`` on ``data["train"]``, validating on
-    ``data["validation"]`` when present, and score it on every evaluation
-    partition present. Weight initialization and epoch shuffles both use
-    ``seed``."""
+    """Train one network from ``seed`` on ``data["train"]`` and score it on
+    every evaluation partition present. Weight initialization and epoch
+    shuffles both use ``seed``.
+
+    ``data["validation"]``, when present, is scored after every epoch if
+    ``validate_every_epoch``, else once on the final parameters; either
+    way the last history row carries its loss and accuracy, which are a
+    function of the final parameters alone.
+    """
     if "train" not in data:
         raise ConfigError("training needs a nonempty train partition")
     h, w = metadata.frame_shape
     arch = convnet.Architecture(
         h, w, config.channels, config.hidden, len(metadata.classes), seed
     )
-    train_cfg = convnet.TrainConfig(
-        config.epochs, config.batch_size, config.learning_rate, seed
-    )
+    validation = data.get("validation")
     result = convnet.train(
-        arch, *data["train"], train_cfg, validation=data.get("validation")
+        arch,
+        *data["train"],
+        config.train_config(seed),
+        validation=validation if validate_every_epoch else None,
     )
     scores = {}
-    if "validation" in data:  # the last epoch scored it with the final parameters
-        scores["validation"] = result.history[-1]["validation_accuracy"]
+    if validation is not None:
+        last = result.history[-1]
+        if not validate_every_epoch:
+            loss, acc = convnet.evaluate_network(result.params, *validation)
+            last.update(validation_loss=loss, validation_accuracy=acc)
+        scores["validation"] = last["validation_accuracy"]
     for name in ("test", "unseen"):
         if name in data:
             images, labels = data[name]
@@ -123,8 +141,11 @@ def _train_and_score(
     config: ExperimentConfig,
     seed: int,
 ) -> dict:
-    """One network of one arm as a report row."""
-    result, scores = train_and_score(metadata, data, config, seed)
+    """One network of one arm as a report row, which keeps only the last
+    epoch's history, so validation runs once."""
+    result, scores = train_and_score(
+        metadata, data, config, seed, validate_every_epoch=False
+    )
     return {"seed": seed, "final": result.history[-1], **scores}
 
 
@@ -166,12 +187,36 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, len(os.sched_getaffinity(0)))
 
 
+def _mallopt():
+    """The C library's ``int mallopt(int, int)``, or None where it has none
+    (not glibc)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+# glibc mallopt parameters, set in training workers only: every block under
+# 1 GiB comes from the heap, and freed memory stays there.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
 _worker_jobs: list = []  # a forked worker's copy of the parent's job list
 
 
 def _start_worker(jobs: list) -> None:
+    """Set up a training worker: one BLAS thread, and freed memory kept on
+    the heap. By default glibc maps each large array (a batch's patch
+    matrices, conv1's output, pool1's gradient: 8-75 MB at 64x64, batch
+    128) from the kernel and unmaps it when freed, so every batch faults
+    in fresh zeroed pages. The calling process keeps its allocator."""
     global _worker_jobs
     _blas_thread_setter()(1)  # the workers, not BLAS threads, fill the cores
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, 1 << 30)
+        mallopt(M_TRIM_THRESHOLD, 2**31 - 1)
     _worker_jobs = jobs
 
 

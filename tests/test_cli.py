@@ -451,3 +451,50 @@ def test_experiment_bad_tolerance_exit_2_before_reading_data(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err == f"error: energy tolerance must be in [0, 1), got {tolerance}\n"
+
+
+_LR = "learning_rate must be positive and finite"
+_SIZES = "epochs and batch_size must be positive"
+_ONE_RULE = "this subcommand takes a single truncation rule"
+_TOLERANCE = "energy tolerance must be in [0, 1), got "
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--lr", "inf"], _LR),
+        (["train", "--epochs", "0"], _SIZES),
+        (["experiment", "--lr", "inf"], _LR),
+        (["experiment", "--batch", "0"], _SIZES),
+        (["build-basis", "--tolerance", "1.5"], _TOLERANCE + "1.5"),
+        (["build-basis", "--rank", "2", "--gavish"], _ONE_RULE),
+        (["project", "--tolerance", "nan"], _TOLERANCE + "nan"),
+        (["project", "--rank", "2", "--tolerance", "0.1"], _ONE_RULE),
+        (["evaluate", "--tolerance", "-0.1"], _TOLERANCE + "-0.1"),
+        (["evaluate", "--rank", "2", "--gavish"], _ONE_RULE),
+    ],
+)
+def test_bad_settings_exit_2_before_reading_data(tmp_path, capsys, args, message):
+    # each used to fail on the missing data (exit 3), or on good data only
+    # after the tree was read
+    out = tmp_path / "out"
+    if args[0] in ("train", "build-basis", "project"):
+        args = args + ["--out", str(out)]
+    assert main(args + ["--data", str(tmp_path / "absent")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--rank", "3"], ["--tolerance", "0.2"], ["--gavish"]]
+)
+def test_evaluate_library_refuses_truncation_flags(data_dir, tmp_path, capsys, flag):
+    # they used to be accepted and ignored
+    lib = tmp_path / "lib.bin"
+    assert main(["build-basis", "--data", str(data_dir), "--out", str(lib)]) == 0
+    capsys.readouterr()
+    for data in (data_dir, tmp_path / "absent"):
+        args = ["evaluate", "--data", str(data), "--library", str(lib), *flag]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --library takes no --rank, --tolerance or --gavish\n"

@@ -1,18 +1,21 @@
 import json
 import multiprocessing
 import os
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from podclass import basis, experiment, svd
-from podclass.basis import build_library
+from podclass import basis, convnet, experiment, svd
+from podclass.basis import build_library, project_pairs
 from podclass.dataset import (
+    PARTITIONS,
     SplitPolicy,
     SyntheticSpec,
     generate_synthetic,
+    partition_arrays,
     split_dataset,
 )
 from podclass.errors import ConfigError, NumericError
@@ -57,6 +60,20 @@ def test_rule_naming():
 def test_config_rejects_duplicate_arms():
     with pytest.raises(ConfigError):
         ExperimentConfig(rules=(TruncationRule(rank=3), TruncationRule(rank=3)))
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive and finite"),
+        ({"epochs": 0}, "epochs and batch_size must be positive"),
+        ({"batch_size": 0}, "epochs and batch_size must be positive"),
+    ],
+)
+def test_config_checks_training_knobs_at_construction(knobs, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**knobs)
 
 
 def test_report_has_raw_and_projected_arms(small_report):
@@ -189,6 +206,12 @@ def test_no_warnings_above_the_noise_edge(small_report):
 # -- training processes -------------------------------------------------------
 
 
+needs_workers = pytest.mark.skipif(
+    experiment._blas_thread_setter() is None,
+    reason="numpy is not linked against OpenBLAS: trainings run in-process",
+)
+
+
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
@@ -203,10 +226,7 @@ def test_reports_are_identical_on_one_and_two_cpus(
     assert rendered[0] == rendered[1] == render_report(small_report)
 
 
-@pytest.mark.skipif(
-    experiment._blas_thread_setter() is None,
-    reason="numpy is not linked against OpenBLAS: trainings run in-process",
-)
+@needs_workers
 def test_networks_train_in_worker_processes_on_more_than_one_cpu(
     tiny_split, small_config, monkeypatch
 ):
@@ -236,3 +256,99 @@ def test_divergence_raises_the_same_error_on_any_cpu_count(
         run_experiment(tiny_split, config)
     assert str(caught.value) == "training diverged at epoch 0"
     assert multiprocessing.active_children() == []
+
+
+# -- one validation pass per experiment network -------------------------------
+
+
+def test_each_experiment_network_validates_once(
+    tiny_split, small_config, small_report, monkeypatch
+):
+    _cpus(monkeypatch, 1)  # in-process, where the calls can be counted
+    calls = []
+    evaluate_network = convnet.evaluate_network
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_network(*args)
+
+    monkeypatch.setattr(convnet, "evaluate_network", counting)
+    report = run_experiment(tiny_split, small_config)
+    assert len(calls) == 2 * small_config.runs  # raw and projected-r3
+    assert render_report(report) == render_report(small_report)
+
+
+def test_final_row_is_the_last_row_of_per_epoch_validation(
+    tiny_split, small_config, small_report
+):
+    rule = TruncationRule(rank=3)
+    library = experiment.train_libraries(tiny_split, (rule,), "train partition")[rule]
+    parts = {n: pairs for n in PARTITIONS if (pairs := tiny_split.partition(n))}
+    arm_parts = {
+        "raw": parts,
+        "projected-r3": {n: project_pairs(library, p) for n, p in parts.items()},
+    }
+    h, w = tiny_split.metadata.frame_shape
+    c = small_config
+    for arm, arm_pairs in arm_parts.items():
+        data = {n: partition_arrays(p) for n, p in arm_pairs.items()}
+        for row in small_report["arms"][arm]["network"]["runs"]:
+            seed = row["seed"]
+            arch = convnet.Architecture(h, w, c.channels, c.hidden, 3, seed)
+            history = convnet.train(
+                arch, *data["train"], c.train_config(seed),
+                validation=data["validation"],
+            ).history
+            assert json.dumps(row["final"]) == json.dumps(history[-1])
+            assert row["validation"] == history[-1]["validation_accuracy"]
+
+
+# -- the training workers' allocator ------------------------------------------
+
+
+def _recording_mallopt(path):
+    """A stand-in for ``mallopt`` that appends each call to ``path``, which
+    a forked worker's calls reach, unlike a list in the parent."""
+
+    def mallopt(param, value):
+        with open(path, "a", encoding="utf-8") as log:
+            log.write(f"{param} {value}\n")
+        return 1
+
+    return mallopt
+
+
+@needs_workers
+def test_workers_keep_freed_memory_and_the_caller_is_untouched(
+    tiny_split, small_config, small_report, monkeypatch, tmp_path
+):
+    log = tmp_path / "mallopt.log"
+    monkeypatch.setattr(experiment, "_mallopt", lambda: _recording_mallopt(log))
+    _cpus(monkeypatch, 1)
+    assert render_report(run_experiment(tiny_split, small_config)) == render_report(
+        small_report
+    )
+    assert not log.exists()  # the in-process path keeps the caller's allocator
+    _cpus(monkeypatch, 2)
+    assert render_report(run_experiment(tiny_split, small_config)) == render_report(
+        small_report
+    )
+    calls = log.read_text(encoding="utf-8").splitlines()
+    per_worker = [f"-3 {2**30}", f"-1 {2**31 - 1}"]  # M_MMAP_, M_TRIM_THRESHOLD
+    assert calls and calls == per_worker * (len(calls) // 2)
+
+
+@needs_workers
+def test_workers_train_where_the_c_library_has_no_mallopt(
+    tiny_split, small_config, small_report, monkeypatch
+):
+    monkeypatch.setattr(experiment, "_mallopt", lambda: None)
+    _cpus(monkeypatch, 2)
+    assert render_report(run_experiment(tiny_split, small_config)) == render_report(
+        small_report
+    )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="not glibc")
+def test_mallopt_is_found_in_glibc():
+    assert experiment._mallopt() is not None
