@@ -8,16 +8,33 @@ backward passes; training is plain minibatch RMSprop. All randomness
 pure function of its inputs.
 
 Convolutions are patch-matrix GEMMs (Chellapilla, Puri & Simard 2006):
-the padded batch is unrolled once into a (B*H*W, 9*Cin) matrix of 3x3
-patches and multiplied by the kernel reshaped to (9*Cin, Cout). Training
-keeps that matrix for the backward pass, where the kernel gradient is one
-GEMM against it; the input gradient is nine 2-D GEMMs, one per kernel tap,
+the padded batch is unrolled into a (B*H*W, 9*Cin) matrix of 3x3 patches
+and multiplied by the kernel reshaped to (9*Cin, Cout). Training keeps
+that matrix for the backward pass, where the kernel gradient is one GEMM
+against it; the input gradient is nine 2-D GEMMs, one per kernel tap,
 added back at their shifts, and is skipped for the first layer, whose
 input is the images. Pooling works on the four window corners as strided
 views of the input, and comes before the ReLU: relu(maxpool(x)) equals
 maxpool(relu(x)) exactly, and the ReLU then touches a quarter of the
 elements. Inference runs the same layer loop without keeping anything for
 a backward pass and without locating the pooling maxima.
+
+Each conv layer works through the batch in contiguous blocks of frames
+whose patch matrix is cache-sized, ``BLOCK_BYTES`` to twice that, so a
+block's intermediates stay in cache instead of streaming whole-batch
+arrays through memory (loop blocking, Goto & van de Geijn 2008). Per
+block run the steps whose output for a frame depends on that frame
+alone: padding and unrolling, the conv GEMM and bias, pooling with its
+argmax, the ReLU, the pool backward, and the nine input-gradient GEMMs
+with their shifted adds. Steps that sum over frames stay single
+whole-batch calls, so every sum keeps its order and every result its
+bits: the kernel-gradient GEMM (each training block writes its patches
+into the batch-wide matrix it reads), the bias GEMV and the dense layers.
+A batch under twice the budget is one block and makes exactly the
+unblocked calls. The budget is a floor, not a cap: BLAS may sum a small
+GEMM in another order than a large one (OpenBLAS does below about 10^6
+multiply-adds when its rows are long), and a cap would force small
+blocks whenever a few large frames just exceed it.
 """
 
 from __future__ import annotations
@@ -49,6 +66,11 @@ RMSPROP_EPS = 1e-7
 # Frames per forward pass when scoring; training batches are configurable.
 INFERENCE_BATCH = 256
 
+# Least size of a block's patch matrix: the per-frame steps of a conv layer
+# run over contiguous blocks of frames this large or up to twice it (see
+# above). 2-8 MiB blocks measured alike; this keeps blocks' GEMMs large.
+BLOCK_BYTES = 8 << 20
+
 PARAM_FIELDS = (
     "kernel1",
     "bias1",
@@ -61,6 +83,14 @@ PARAM_FIELDS = (
     "output_weight",
     "output_bias",
 )
+
+
+def check_widths(channels: Sequence[int], hidden: int) -> None:
+    """Refuse layer widths that no network can have."""
+    if len(channels) != 3 or min(channels) < 1:
+        raise ConfigError("need three positive channel counts")
+    if hidden < 1:
+        raise ConfigError("need hidden >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,10 +107,9 @@ class Architecture:
     def __post_init__(self) -> None:
         if self.height < 8 or self.width < 8:
             raise ConfigError("images must be at least 8x8 to survive three pools")
-        if len(self.channels) != 3 or min(self.channels) < 1:
-            raise ConfigError("need three positive channel counts")
-        if self.hidden < 1 or self.classes < 2:
-            raise ConfigError("need hidden >= 1 and classes >= 2")
+        check_widths(self.channels, self.hidden)
+        if self.classes < 2:
+            raise ConfigError("need classes >= 2")
 
     @property
     def flat_dim(self) -> int:
@@ -153,6 +182,18 @@ def initialize(arch: Architecture) -> Params:
 # ---------------------------------------------------------------------------
 
 
+def _frame_blocks(frames: int, h: int, w: int, cin: int) -> list[slice]:
+    """Contiguous blocks covering ``range(frames)`` in order for the
+    per-frame steps of a conv layer on (h, w, cin) frames: as many as keep
+    each block's patch matrix (72 bytes per input element: nine taps of
+    float64) at ``BLOCK_BYTES`` or more, with sizes that differ by at most
+    one. A batch under twice the budget is one block."""
+    least = -(-BLOCK_BYTES // (72 * h * w * cin))  # frames per block, at least
+    count = max(1, frames // least)
+    bounds = [frames * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _patches(xp: np.ndarray) -> np.ndarray:
     """The (B*H*W, 9*Cin) patch matrix of a padded batch, columns in
     (u, v, channel) order to match ``kernel.reshape(9 * Cin, Cout)``."""
@@ -168,7 +209,8 @@ def conv3x3_forward(
     cout = kernel.shape[3]
     patches = _patches(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))))
     out = patches @ kernel.reshape(9 * cin, cout)
-    out += bias
+    wide = out.reshape(b * h, w * cout)  # same additions, W times fewer rows: faster
+    wide += np.tile(bias, w)
     return out.reshape(b, h, w, cout), patches
 
 
@@ -180,7 +222,11 @@ def conv3x3_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (input, kernel, bias) of the convolution above, from the
     patch matrix its forward pass returned; the input gradient is None when
-    ``input_grad`` is false (the first layer, whose input is the images)."""
+    ``input_grad`` is false (the first layer, whose input is the images).
+
+    The kernel and bias gradients sum over the whole batch in one GEMM and
+    one GEMV; the input gradient of each frame needs only that frame, so its
+    nine per-tap GEMMs and shifted adds run over blocks of frames."""
     b, h, w, cout = grad_out.shape
     cin = kernel.shape[2]
     grad_rows = grad_out.reshape(-1, cout)
@@ -188,11 +234,14 @@ def conv3x3_backward(
     grad_x = None
     if input_grad:
         grad_xp = np.zeros((b, h + 2, w + 2, cin))
-        for u in range(3):
-            for v in range(3):
-                grad_xp[:, u : u + h, v : v + w, :] += (
-                    grad_rows @ kernel[u, v].T
-                ).reshape(b, h, w, cin)
+        taps = [(u, v, kernel[u, v].T) for u in range(3) for v in range(3)]
+        for block in _frame_blocks(b, h, w, cin):
+            rows = grad_rows[block.start * h * w : block.stop * h * w]
+            block_xp = grad_xp[block]
+            for u, v, tap in taps:
+                block_xp[:, u : u + h, v : v + w, :] += (rows @ tap).reshape(
+                    -1, h, w, cin
+                )
         grad_x = grad_xp[:, 1:-1, 1:-1, :]
     # the row sum as a GEMV: numpy's axis-0 sum is several times slower on
     # the few wide columns of grad_rows
@@ -222,15 +271,27 @@ def maxpool_forward(
     pooled = np.maximum(top, bottom)
     if not with_argmax:
         return pooled, None
-    # ties go to the top row, then to the left column: the first maximum
-    argmax = np.where(top >= bottom, c1 > c0, (c3 > c2) + np.uint8(2))
+    # ties go to the top row, then to the left column: the first maximum.
+    # argmax = 2 * low + (c3 > c2 if low else c1 > c0), low = not top >= bottom,
+    # in place on uint8 views of the comparisons
+    argmax = np.greater_equal(top, bottom).view(np.uint8)
+    argmax ^= 1
+    right = np.greater(c1, c0).view(np.uint8)
+    flip = np.greater(c3, c2).view(np.uint8)
+    flip ^= right
+    flip &= argmax
+    right ^= flip
+    argmax <<= 1
+    argmax |= right
     return pooled, argmax
 
 
 def maxpool_backward(
     grad_out: np.ndarray, argmax: np.ndarray, input_shape: tuple[int, ...]
 ) -> np.ndarray:
-    grad = np.zeros(input_shape)
+    even = input_shape[1] % 2 == 0 and input_shape[2] % 2 == 0
+    # the four corners cover every element of an even input
+    grad = np.empty(input_shape) if even else np.zeros(input_shape)
     for k, corner in enumerate(_corner_views(grad)):
         np.multiply(grad_out, argmax == k, out=corner)
     return grad
@@ -270,16 +331,29 @@ def forward(
     """Logits for a batch. Given a ``cache`` dict (training), fills it with
     what the backward pass needs; without one, keeps nothing."""
     x = _as_batch(images)
+    n = x.shape[0]
     for i in (1, 2, 3):
         kernel, bias = getattr(params, f"kernel{i}"), getattr(params, f"bias{i}")
-        act, patches = conv3x3_forward(x, kernel, bias)
-        x, argmax = maxpool_forward(act, with_argmax=cache is not None)
-        mask = x > 0
-        x *= mask  # ReLU in place, after pooling: a quarter of the elements
+        _, h, w, cin = x.shape
+        cout = kernel.shape[3]
+        pooled = np.empty((n, h // 2, w // 2, cout))
         if cache is not None:
-            cache[f"conv{i}"] = (patches, mask, act.shape, argmax)
-        del act, patches  # freed before the next layer, unless cached
-    flat = x.reshape(x.shape[0], -1)
+            all_patches = np.empty((n * h * w, 9 * cin))
+            mask = np.empty(pooled.shape, dtype=bool)
+            argmax = np.empty(pooled.shape, dtype=np.uint8)
+            cache[f"conv{i}"] = (all_patches, mask, (n, h, w, cout), argmax)
+        for block in _frame_blocks(n, h, w, cin):
+            act, patches = conv3x3_forward(x[block], kernel, bias)
+            out, out_argmax = maxpool_forward(act, with_argmax=cache is not None)
+            out_mask = out > 0
+            out *= out_mask  # ReLU in place, after pooling: a quarter of the elements
+            pooled[block] = out
+            if cache is not None:
+                all_patches[block.start * h * w : block.stop * h * w] = patches
+                mask[block], argmax[block] = out_mask, out_argmax
+            del act, patches  # freed before the next block
+        x = pooled
+    flat = x.reshape(n, -1)
     hidden_pre = flat @ params.hidden_weight + params.hidden_bias
     hidden_mask = hidden_pre > 0
     hidden = hidden_pre * hidden_mask
@@ -318,10 +392,16 @@ def loss_and_gradients(
     grad_x = grad_hidden @ params.hidden_weight.T
     for i in (3, 2, 1):
         patches, mask, act_shape, argmax = cache.pop(f"conv{i}")
-        grad_x = grad_x.reshape(mask.shape) * mask
-        grad_pre = maxpool_backward(grad_x, argmax, act_shape)
+        kernel = getattr(params, f"kernel{i}")
+        grad_x = grad_x.reshape(mask.shape)
+        grad_pre = np.empty(act_shape)
+        _, h, w, _ = act_shape
+        for block in _frame_blocks(batch, h, w, kernel.shape[2]):
+            grad_pre[block] = maxpool_backward(
+                grad_x[block] * mask[block], argmax[block], grad_pre[block].shape
+            )
         grad_x, grads[f"kernel{i}"], grads[f"bias{i}"] = conv3x3_backward(
-            patches, getattr(params, f"kernel{i}"), grad_pre, input_grad=i > 1
+            patches, kernel, grad_pre, input_grad=i > 1
         )
     return loss, Params(**grads), probs
 

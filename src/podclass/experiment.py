@@ -67,6 +67,7 @@ class ExperimentConfig:
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate truncation arms: {names}")
         self.train_config(self.seed)  # refuses bad training knobs now
+        convnet.check_widths(self.channels, self.hidden)
 
     def train_config(self, seed: int) -> convnet.TrainConfig:
         """The training knobs, with ``seed`` for the epoch shuffles."""

@@ -455,6 +455,8 @@ def test_experiment_bad_tolerance_exit_2_before_reading_data(
 
 _LR = "learning_rate must be positive and finite"
 _SIZES = "epochs and batch_size must be positive"
+_CHANNELS = "need three positive channel counts"
+_HIDDEN = "need hidden >= 1"
 _ONE_RULE = "this subcommand takes a single truncation rule"
 _TOLERANCE = "energy tolerance must be in [0, 1), got "
 
@@ -472,11 +474,15 @@ _TOLERANCE = "energy tolerance must be in [0, 1), got "
         (["project", "--rank", "2", "--tolerance", "0.1"], _ONE_RULE),
         (["evaluate", "--tolerance", "-0.1"], _TOLERANCE + "-0.1"),
         (["evaluate", "--rank", "2", "--gavish"], _ONE_RULE),
+        (["train", "--arch", "0,4,4,8"], _CHANNELS),
+        (["train", "--arch", "4,4,4,0"], _HIDDEN),
+        (["experiment", "--arch", "4,-1,4,8"], _CHANNELS),
+        (["experiment", "--arch", "4,4,4,-2"], _HIDDEN),
     ],
 )
 def test_bad_settings_exit_2_before_reading_data(tmp_path, capsys, args, message):
     # each used to fail on the missing data (exit 3), or on good data only
-    # after the tree was read
+    # after the tree was read (an --arch width only once the network was built)
     out = tmp_path / "out"
     if args[0] in ("train", "build-basis", "project"):
         args = args + ["--out", str(out)]

@@ -354,6 +354,83 @@ def test_pool_then_relu_is_bit_identical_to_relu_then_pool(rng, values, h, w):
         assert sum(c[1] for c in counts) > 0  # tied positive maxima
 
 
+# Small enough for several blocks of uneven size in every layer of a
+# 37-frame batch at 9x11 and at 16x16 with channels (3, 4, 5).
+SMALL_BLOCK_BYTES = 20_000
+
+
+@pytest.mark.parametrize("budget", [1, 1_000, 7_128, 40_000, 1 << 20, 8 << 20])
+def test_frame_blocks_split_the_batch_evenly_above_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(convnet, "BLOCK_BYTES", budget)
+    for h, w, cin in [(9, 11, 1), (16, 16, 3), (64, 64, 8)]:
+        frame = 72 * h * w * cin  # one frame's rows of the patch matrix
+        for n in range(1, 101):
+            blocks = convnet._frame_blocks(n, h, w, cin)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            sizes = [b.stop - b.start for b in blocks]
+            assert max(sizes) - min(sizes) <= 1
+            if len(blocks) > 1:  # no block under the budget
+                assert min(sizes) * frame >= budget
+            # one block more would put a block under the budget
+            assert n // (len(blocks) + 1) * frame < budget
+            if n * frame < 2 * budget:
+                assert blocks == [slice(0, n)]
+
+
+def _network_outputs(params, images, labels):
+    loss, grads, probs = loss_and_gradients(params, images, labels)
+    val_loss, val_acc = convnet.evaluate_network(params, images, labels)
+    return [
+        np.float64(loss).tobytes(),
+        probs.tobytes(),
+        *(g.tobytes() for g in grads.arrays()),
+        convnet.forward(params, images).tobytes(),
+        np.float64(val_loss).tobytes(),
+        np.float64(val_acc).tobytes(),
+        convnet.predict(params, images).tobytes(),
+    ]
+
+
+@pytest.mark.parametrize("values", ["integer", "normal"])
+@pytest.mark.parametrize("h, w", [(9, 11), (16, 16)])
+def test_frame_blocks_leave_every_output_bit_identical(monkeypatch, rng, values, h, w):
+    arch = Architecture(height=h, width=w, channels=(3, 4, 5), hidden=6, classes=3)
+    if values == "integer":
+        params = _integer_params(arch, rng)  # ties, signed zeros, dead windows
+        images = rng.integers(0, 3, size=(37, h, w)).astype(np.float64)
+    else:
+        params = initialize(arch)
+        images = rng.uniform(0, 1, size=(37, h, w))
+    labels = rng.integers(0, 3, size=37)
+    monkeypatch.setattr(convnet, "BLOCK_BYTES", 1 << 62)  # the batch is one block
+    whole = _network_outputs(params, images, labels)
+    monkeypatch.setattr(convnet, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    for hi, wi, cin in [(h, w, 1), (h // 2, w // 2, 3), (h // 4, w // 4, 4)]:
+        sizes = {b.stop - b.start for b in convnet._frame_blocks(37, hi, wi, cin)}
+        assert len(sizes) == 2  # several blocks, split unevenly
+    blocked = _network_outputs(params, images, labels)
+    names = ["loss", "probs", *convnet.PARAM_FIELDS, "logits", "val_loss",
+             "val_accuracy", "predict"]
+    for name, got, want in zip(names, blocked, whole):
+        assert got == want, name
+
+
+@pytest.mark.parametrize("frames", [3, 7])
+def test_frame_blocks_at_the_real_budget_keep_wide_layers_bit_identical(
+    monkeypatch, rng, frames
+):
+    # conv2 has long patch rows (9 x 64 columns) and two output channels,
+    # so one 56x56 frame's product is under 10^6 multiply-adds, where
+    # OpenBLAS sums in another order than for a whole batch of such frames
+    arch = Architecture(height=56, width=56, channels=(64, 2, 2), hidden=4, classes=3)
+    params = initialize(arch)
+    images = rng.uniform(0, 1, size=(frames, 56, 56))
+    labels = rng.integers(0, 3, size=frames)
+    blocked = _network_outputs(params, images, labels)
+    monkeypatch.setattr(convnet, "BLOCK_BYTES", 1 << 62)
+    assert blocked == _network_outputs(params, images, labels)
+
+
 def test_inference_forward_matches_training_forward(rng):
     arch = Architecture(height=9, width=11, channels=(3, 4, 5), hidden=6, classes=3)
     params = initialize(arch)

@@ -69,6 +69,9 @@ def test_config_rejects_duplicate_arms():
         ({"learning_rate": 0.0}, "learning_rate must be positive and finite"),
         ({"epochs": 0}, "epochs and batch_size must be positive"),
         ({"batch_size": 0}, "epochs and batch_size must be positive"),
+        ({"channels": (4, 0, 4)}, "need three positive channel counts"),
+        ({"channels": (4, 4)}, "need three positive channel counts"),
+        ({"hidden": 0}, "need hidden >= 1"),
     ],
 )
 def test_config_checks_training_knobs_at_construction(knobs, message):
@@ -256,6 +259,17 @@ def test_divergence_raises_the_same_error_on_any_cpu_count(
         run_experiment(tiny_split, config)
     assert str(caught.value) == "training diverged at epoch 0"
     assert multiprocessing.active_children() == []
+
+
+def test_frame_blocks_leave_the_report_unchanged(
+    tiny_split, small_config, small_report, monkeypatch
+):
+    rendered = []
+    for budget in (1 << 62, 1):  # one block per batch; one frame per block
+        monkeypatch.setattr(convnet, "BLOCK_BYTES", budget)
+        rendered.append(render_report(run_experiment(tiny_split, small_config)))
+    assert len(convnet._frame_blocks(small_config.batch_size, 16, 16, 1)) == 16
+    assert rendered[0] == rendered[1] == render_report(small_report)
 
 
 # -- one validation pass per experiment network -------------------------------
