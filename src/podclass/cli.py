@@ -16,12 +16,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import convnet
 from .basis import (
     BasisLibrary,
     fit_classes,
+    library_from_fits,
     load_library,
     project_pairs,
     save_factors,
@@ -51,7 +50,6 @@ from .experiment import (
     run_experiment,
     save_report,
     train_and_score,
-    train_libraries,
 )
 from .svd import TruncationRule
 
@@ -102,7 +100,8 @@ def _rule(args) -> TruncationRule:
 def _train_library(args, split: DatasetSplit, rule: TruncationRule) -> BasisLibrary:
     """The library of the train partition under ``rule``."""
     source = f"train partition of {Path(args.data).name}"
-    return train_libraries(split, (rule,), source)[rule]
+    fits = fit_classes(split.train)
+    return library_from_fits(fits, split.metadata.frame_shape, rule, source)
 
 
 def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
@@ -211,10 +210,6 @@ def cmd_ingest_check(args) -> int:
         print(f"  {label.code}: {len(group)} samples, {frames} frames")
     print(f"frame shape: {shape[0]}x{shape[1]}")
     _print_split_counts(split)
-    for name in PARTITIONS:
-        for image, _ in split.partition(name):
-            if not np.isfinite(image).all():
-                raise DataError(f"non-finite pixels in {name} partition")
     print("ok")
     return 0
 

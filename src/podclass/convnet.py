@@ -39,7 +39,7 @@ blocks whenever a few large frames just exceed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -70,20 +70,6 @@ INFERENCE_BATCH = 256
 # run over contiguous blocks of frames this large or up to twice it (see
 # above). 2-8 MiB blocks measured alike; this keeps blocks' GEMMs large.
 BLOCK_BYTES = 8 << 20
-
-PARAM_FIELDS = (
-    "kernel1",
-    "bias1",
-    "kernel2",
-    "bias2",
-    "kernel3",
-    "bias3",
-    "hidden_weight",
-    "hidden_bias",
-    "output_weight",
-    "output_bias",
-)
-
 
 def check_widths(channels: Sequence[int], hidden: int) -> None:
     """Refuse layer widths that no network can have."""
@@ -140,6 +126,9 @@ class Params:
         if len(arrays) != len(PARAM_FIELDS):
             raise ConfigError(f"expected {len(PARAM_FIELDS)} parameter tensors")
         return cls(**dict(zip(PARAM_FIELDS, arrays)))
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(Params))
 
 
 def param_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:

@@ -90,6 +90,10 @@ class DatasetSplit:
     ``origins[p][i]`` names the sample and frame index that produced pair
     ``i`` of partition ``p``; it is what the manifest serializes and what
     per-sample aggregation needs.
+
+    Every class in another partition must have train frames, since its
+    basis and the network learn it from those alone. A split with no train
+    frames at all is left to whatever needs them to refuse.
     """
 
     train: list[Pair]
@@ -98,6 +102,15 @@ class DatasetSplit:
     unseen: list[Pair]
     metadata: SplitMetadata
     origins: dict[str, tuple[Origin, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.train:
+            return
+        present = {n: {label for _, label in getattr(self, n)} for n in PARTITIONS}
+        for label in self.metadata.classes:
+            held = ", ".join(n for n in PARTITIONS if label in present[n])
+            if held and label not in present["train"]:
+                raise DataError(f"class {label.code} is in {held} but not in train")
 
     def partition(self, name: str) -> list[Pair]:
         if name not in PARTITIONS:

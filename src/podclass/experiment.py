@@ -28,14 +28,13 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import convnet
 from .basis import BasisLibrary, fit_classes, library_from_fits, project_pairs
 from .dataset import PARTITIONS, DatasetSplit, SplitMetadata, partition_arrays
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .metrics import accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
 from .svd import TruncationRule
@@ -278,24 +277,6 @@ def _network_runs(
     return out
 
 
-def train_libraries(
-    split: DatasetSplit, rules: Sequence[TruncationRule], source: str
-) -> dict[TruncationRule, BasisLibrary]:
-    """One library of the train partition per distinct rule, all truncated
-    from a single fit per class; the untruncated fits do not outlive the
-    call. Every class of another partition must have train frames."""
-    present = {n: {label for _, label in split.partition(n)} for n in PARTITIONS}
-    for label in split.metadata.classes:
-        held = ", ".join(n for n in PARTITIONS if label in present[n])
-        if present["train"] and held and label not in present["train"]:
-            raise DataError(f"class {label.code} is in {held} but not in train")
-    fits = fit_classes(split.train)
-    return {
-        rule: library_from_fits(fits, split.metadata.frame_shape, rule, source)
-        for rule in dict.fromkeys(rules)
-    }
-
-
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     """Execute every arm and assemble the deterministic report."""
     if not split.train:
@@ -308,8 +289,16 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     # Raw arm: unprocessed images. Its baseline still needs subspaces, so
     # it borrows the hard-threshold library; the network sees raw pixels.
     # A projected arm under that same rule shares library and baseline.
+    # The untruncated fits are freed before the arms' data is built.
     hard = TruncationRule()
-    libraries = train_libraries(split, (hard,) + config.rules, "train partition")
+    fits = fit_classes(split.train)
+    libraries = {
+        rule: library_from_fits(
+            fits, split.metadata.frame_shape, rule, "train partition"
+        )
+        for rule in dict.fromkeys((hard,) + config.rules)
+    }
+    del fits
     baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
     raw_library = libraries[hard]
     arm_data["raw"] = {n: partition_arrays(pairs) for n, pairs in raw_parts.items()}

@@ -34,7 +34,9 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary (P5) PGM file into a uint8 array of shape (height, width)."""
+    """Read a binary (P5) PGM file into a uint8 array of shape (height, width).
+
+    The maxval must be 255, and nothing may follow the raster."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -53,14 +55,16 @@ def read_pgm(path: str | Path) -> np.ndarray:
         width, height, maxval = numbers
     except (ValueError, DataFormatError) as exc:  # ValueError: too many digits
         raise DataFormatError(f"{path}: malformed PGM header ({exc})") from exc
-    if not (0 < maxval <= 255):
-        raise DataFormatError(f"{path}: unsupported maxval {maxval}, need 8-bit")
+    if maxval != 255:  # frames are stored as v / 255 (see to_unit)
+        raise DataFormatError(f"{path}: unsupported maxval {maxval}, need 255")
     if width <= 0 or height <= 0:
         raise DataFormatError(f"{path}: bad dimensions {width}x{height}")
     pos += 1  # single whitespace byte separates header from raster
-    raster = data[pos : pos + width * height]
+    raster = data[pos:]  # nothing may follow the raster
     if len(raster) != width * height:
-        raise DataFormatError(f"{path}: truncated raster, got {len(raster)} bytes")
+        raise DataFormatError(
+            f"{path}: raster has {len(raster)} bytes, need {width * height}"
+        )
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 

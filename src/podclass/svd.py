@@ -39,12 +39,10 @@ class ThinSVD:
 def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
     """Flip column pairs so each mode's largest-magnitude entry is
     nonnegative (first index wins ties); in place."""
-    for k in range(modes.shape[1]):
-        column = modes[:, k]
-        lead = np.argmax(np.abs(column))
-        if column[lead] < 0:
-            modes[:, k] = -column
-            coeffs[:, k] = -coeffs[:, k]
+    lead = np.argmax(np.abs(modes), axis=0)
+    signs = np.where(modes[lead, np.arange(modes.shape[1])] < 0, -1.0, 1.0)
+    modes *= signs  # exact: a product with +-1 only sets the sign bit
+    coeffs *= signs
 
 
 def thin_svd(matrix: np.ndarray) -> ThinSVD:

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from podclass import basis, convnet
 from podclass.cli import main
 from podclass.convnet import load_checkpoint
 from podclass.dataset import load_dataset, split_from_manifest
@@ -421,10 +422,30 @@ def test_evaluate_library_class_roster_mismatch_exit_2(data_dir, tmp_path, capsy
     assert err == f"error: evaluated class C2 (id 2) has no basis in library {small}\n"
 
 
-@pytest.mark.parametrize("command", ["evaluate", "project", "experiment"])
-def test_class_missing_from_train_exit_3(data_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command",
+    [
+        "evaluate",
+        "project",
+        "experiment",
+        "build-basis",
+        "spectrum",
+        "train",
+        "ingest-check",
+    ],
+)
+def test_class_missing_from_train_exit_3(
+    data_dir, tmp_path, capsys, monkeypatch, command
+):
     # evaluate used to score 0.667 with exit 0; project and experiment
-    # exited 2 with a bare "no basis for class id 2"
+    # exited 2 with a bare "no basis for class id 2"; spectrum, train and
+    # ingest-check exited 0, train scoring a network that never saw C2.
+    # The split refuses it, before any class is fitted or network trained.
+    def never(*args, **kwargs):
+        raise AssertionError("fitted or trained a split missing a train class")
+
+    monkeypatch.setattr(basis, "fit_class", never)
+    monkeypatch.setattr(convnet, "train", never)
     lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text(
@@ -432,13 +453,16 @@ def test_class_missing_from_train_exit_3(data_dir, tmp_path, capsys, command):
         encoding="utf-8",
     )
     args = [command, "--data", str(data_dir), "--manifest", str(manifest)]
-    if command == "project":
-        args += ["--out", str(tmp_path / "proj")]
+    if command in ("project", "build-basis", "spectrum", "train"):
+        args += ["--out", str(tmp_path / "out")]
+    if command in ("experiment", "train"):
+        args += ["--epochs", "1", "--arch", "2,4,4,8"]
     if command == "experiment":
-        args += ["--runs", "1", "--epochs", "1", "--arch", "2,4,4,8"]
+        args += ["--runs", "1"]
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err == "error: class C2 is in validation, test, unseen but not in train\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tolerance", ["1.5", "nan"])

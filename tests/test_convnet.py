@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -637,6 +642,51 @@ def test_forward_rejects_bad_shapes():
     params = initialize(TINY)
     with pytest.raises(DataFormatError):
         convnet.forward(params, np.zeros((2, 8, 8, 3)))
+
+
+# -- BLAS threads ------------------------------------------------------------
+
+# The two networks the benchmark trains, as (side, channels, hidden), each
+# on one 128-frame batch: headline-train's narrow net and cli-wide's default.
+BENCHMARK_NETS = {
+    "headline-train": (64, (8, 16, 32), 64),
+    "cli-wide": (16, (32, 64, 64), 128),
+}
+
+# Prints the sha256 of the loss, probabilities, gradients and inference
+# logits of one batch. OpenBLAS reads its thread count only when it loads,
+# so each count needs its own process.
+DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from podclass.convnet import Architecture, forward, initialize, loss_and_gradients
+side, c1, c2, c3, hidden = map(int, sys.argv[1:])
+params = initialize(Architecture(side, side, (c1, c2, c3), hidden, 5, seed=3))
+rng = np.random.default_rng(4)
+images = rng.uniform(0.0, 1.0, size=(128, side, side))
+labels = rng.integers(0, 5, size=128)
+loss, grads, probs = loss_and_gradients(params, images, labels)
+digest = hashlib.sha256(np.float64(loss).tobytes() + probs.tobytes())
+for array in (*grads.arrays(), forward(params, images)):
+    digest.update(np.ascontiguousarray(array).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("net", sorted(BENCHMARK_NETS))
+def test_network_bytes_do_not_depend_on_blas_threads(net):
+    side, channels, hidden = BENCHMARK_NETS[net]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-c", DIGEST_SCRIPT, str(side), *map(str, channels)]
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests[threads] = subprocess.run(
+            argv + [str(hidden)], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        ).stdout
+    assert digests["1"] == digests["2"]
 
 
 # -- checkpoints -------------------------------------------------------------

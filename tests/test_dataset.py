@@ -5,7 +5,9 @@ import pytest
 
 from podclass.dataset import (
     ClassLabel,
+    DatasetSplit,
     Sample,
+    SplitMetadata,
     SplitPolicy,
     SyntheticSpec,
     assemble_snapshot_matrix,
@@ -246,6 +248,18 @@ def test_manifest_rejects_unknown_sample(tmp_path):
     path.write_text("train\tC0\tzz\t0000\n")
     with pytest.raises(DataError):
         split_from_manifest(samples, path)
+
+
+def test_split_refuses_a_class_without_train_frames():
+    a, b = ClassLabel(0, "A"), ClassLabel(1, "B")
+    frame = np.zeros((2, 2))
+    meta = SplitMetadata("view", (2, 2), (a, b))
+    with pytest.raises(DataError, match=r"^class B is in validation but not in train$"):
+        DatasetSplit([(frame, a)], [(frame, b)], [], [], meta)
+    # a class in no partition at all, and a split with no train frames
+    # (which nothing can fit or train on), are left alone
+    DatasetSplit([(frame, a)], [(frame, a)], [], [], meta)
+    DatasetSplit([], [(frame, a)], [(frame, b)], [], meta)
 
 
 def _split_by_policy(samples, tmp_path):

@@ -295,8 +295,7 @@ def test_each_experiment_network_validates_once(
 def test_final_row_is_the_last_row_of_per_epoch_validation(
     tiny_split, small_config, small_report
 ):
-    rule = TruncationRule(rank=3)
-    library = experiment.train_libraries(tiny_split, (rule,), "train partition")[rule]
+    library = build_library(tiny_split.train, tiny_split.metadata.frame_shape, rank=3)
     parts = {n: pairs for n in PARTITIONS if (pairs := tiny_split.partition(n))}
     arm_parts = {
         "raw": parts,

@@ -77,3 +77,21 @@ def test_rejects_header_numbers_that_are_not_ascii_digits(tmp_path, header):
         read_pgm(path)
     assert str(caught.value).startswith(f"{path}: malformed PGM header")
     assert "is not ASCII digits" in str(caught.value)
+
+
+def test_rejects_maxval_other_than_255(tmp_path):
+    # it used to load bytes 100, 200 under maxval 100 as 0.392, 0.784
+    path = tmp_path / "shallow.pgm"
+    path.write_bytes(b"P5 2 1 100\n" + bytes([100, 200]))
+    with pytest.raises(DataFormatError) as caught:
+        read_pgm(path)
+    assert str(caught.value) == f"{path}: unsupported maxval 100, need 255"
+
+
+def test_rejects_bytes_after_the_raster(tmp_path):
+    # they used to be ignored
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes(5))
+    with pytest.raises(DataFormatError) as caught:
+        read_pgm(path)
+    assert str(caught.value) == f"{path}: raster has 5 bytes, need 4"

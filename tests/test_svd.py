@@ -5,6 +5,7 @@ from podclass.errors import ConfigError, NumericError
 from podclass.svd import (
     ThinSVD,
     TruncationRule,
+    _fix_signs,
     gavish_donoho_omega,
     rank_by_hard_threshold,
     rank_for_energy,
@@ -88,6 +89,28 @@ def test_sign_convention_is_stable_under_column_negation(rng):
     svd_b = thin_svd(-matrix)
     # flipping the matrix flips coefficients, not the spatial modes
     assert np.allclose(svd_a.modes, svd_b.modes, atol=1e-12)
+
+
+def _loop_fix_signs(modes, coeffs):
+    """The sign convention one column at a time: the reference."""
+    for k in range(modes.shape[1]):
+        lead = np.argmax(np.abs(modes[:, k]))
+        if modes[lead, k] < 0:
+            modes[:, k] = -modes[:, k]
+            coeffs[:, k] = -coeffs[:, k]
+
+
+def test_sign_fix_matches_the_column_loop_bit_for_bit(rng):
+    ties = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -1.0]])  # first index wins
+    cases = [(ties, np.array([[1.0, 2.0, 3.0]]))]
+    cases += [(rng.normal(size=(50, 7)), rng.normal(size=(9, 7))) for _ in range(5)]
+    for modes, coeffs in cases:
+        want_modes, want_coeffs = modes.copy(), coeffs.copy()
+        _loop_fix_signs(want_modes, want_coeffs)
+        _fix_signs(modes, coeffs)
+        assert modes.tobytes() == want_modes.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+    assert np.array_equal(cases[0][1], [[-1.0, 2.0, -3.0]])
 
 
 # -- truncation --------------------------------------------------------------
