@@ -97,11 +97,11 @@ def _rule(args) -> TruncationRule:
     return rules[0]
 
 
-def _train_library(args, split: DatasetSplit, rule: TruncationRule) -> BasisLibrary:
+def _train_library(split: DatasetSplit, rule: TruncationRule) -> BasisLibrary:
     """The library of the train partition under ``rule``."""
-    source = f"train partition of {Path(args.data).name}"
-    fits = fit_classes(split.train)
-    return library_from_fits(fits, split.metadata.frame_shape, rule, source)
+    meta = split.metadata
+    source = f"train partition of {meta.view}"
+    return library_from_fits(fit_classes(split.train), meta.frame_shape, rule, source)
 
 
 def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
@@ -203,7 +203,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest_check(args) -> int:
     samples, split, _ = _load_split(args)
     by_class = group_by_class(samples)
-    shape = samples[0].frame_shape
+    shape = split.metadata.frame_shape
     print(f"classes: {len(by_class)}")
     for label, group in by_class.items():
         frames = sum(len(s.frames) for s in group)
@@ -217,7 +217,7 @@ def cmd_ingest_check(args) -> int:
 def cmd_build_basis(args) -> int:
     rule = _rule(args)
     _, split, _ = _load_split(args)
-    library = _train_library(args, split, rule)
+    library = _train_library(split, rule)
     save_library(library, args.out)
     for basis in library.bases:
         print(f"{basis.label.code}: rank {basis.rank}")
@@ -255,7 +255,7 @@ def cmd_spectrum(args) -> int:
 def cmd_project(args) -> int:
     rule = _rule(args)
     samples, split, manifest = _load_split(args)
-    library = _train_library(args, split, rule)
+    library = _train_library(split, rule)
     out = Path(args.out)
     for s in samples:  # one sample's projections in memory at a time
         pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
@@ -297,7 +297,7 @@ def cmd_evaluate(args) -> int:
     if rule is None:
         library = _saved_library(args.library, split)
     else:
-        library = _train_library(args, split, rule)
+        library = _train_library(split, rule)
     report = baseline_report(library, split)
     for name, section in report.items():
         print(f"{name} accuracy {section['accuracy']:.3g}")

@@ -452,6 +452,15 @@ class TrainResult:
     history: list[dict]
 
 
+def _inference_logits(params: Params, images: np.ndarray):
+    """``(start, logits)`` per ``INFERENCE_BATCH`` frames; non-finite ones raise."""
+    for start in range(0, len(images), INFERENCE_BATCH):
+        logits = forward(params, images[start : start + INFERENCE_BATCH])
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite logits; the network's parameters diverged")
+        yield start, logits
+
+
 def evaluate_network(
     params: Params, images: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
@@ -462,9 +471,8 @@ def evaluate_network(
         raise ConfigError("cannot evaluate on an empty set")
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, INFERENCE_BATCH):
+    for start, logits in _inference_logits(params, images[:n]):
         batch = labels[start : start + INFERENCE_BATCH]
-        logits = _finite(forward(params, images[start : start + batch.size]))
         total_loss += cross_entropy(softmax(logits), batch) * batch.size
         correct += int((logits.argmax(axis=1) == batch).sum())
     return total_loss / n, correct / n
@@ -472,19 +480,8 @@ def evaluate_network(
 
 def predict(params: Params, images: np.ndarray) -> np.ndarray:
     """Predicted class indices for a batch of images."""
-    images = np.asarray(images, dtype=np.float64)
-    out = []
-    for start in range(0, images.shape[0], INFERENCE_BATCH):
-        logits = _finite(forward(params, images[start : start + INFERENCE_BATCH]))
-        out.append(logits.argmax(axis=1))
+    out = [logits.argmax(axis=1) for _, logits in _inference_logits(params, images)]
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
-
-def _finite(logits: np.ndarray) -> np.ndarray:
-    """``logits``, unless a diverged update left them non-finite."""
-    if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits; the network's parameters diverged")
-    return logits
 
 
 def train(

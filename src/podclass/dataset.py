@@ -176,6 +176,17 @@ class SplitPolicy:
         return cls.proportional(n - unseen, unseen, f)
 
 
+# SyntheticSpec field of each spec file key, in the order files list them
+_SPEC_KEYS = {
+    "classes": "class_count",
+    "frames": "frames_per_class",
+    "side": "image_side",
+    "rank": "intrinsic_rank",
+    "noise": "noise_level",
+    "seed": "seed",
+}
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of the synthetic desk-scale dataset generator."""
@@ -201,14 +212,6 @@ class SyntheticSpec:
     def from_config_file(cls, path: str | Path) -> "SyntheticSpec":
         """Parse a key=value config file (keys: classes, frames, side, rank,
         noise, seed; '#' starts a comment)."""
-        keys = {
-            "classes": "class_count",
-            "frames": "frames_per_class",
-            "side": "image_side",
-            "rank": "intrinsic_rank",
-            "noise": "noise_level",
-            "seed": "seed",
-        }
         values: dict[str, float] = {}
         try:
             text = Path(path).read_bytes().decode("utf-8")
@@ -221,22 +224,18 @@ class SyntheticSpec:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in keys:
+            if key not in _SPEC_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[keys[key]] = float(value) if key == "noise" else int(value)
+                values[_SPEC_KEYS[key]] = float(value) if key == "noise" else int(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
         return cls(**values)  # type: ignore[arg-type]
 
     def to_config_text(self) -> str:
-        return (
-            f"classes={self.class_count}\n"
-            f"frames={self.frames_per_class}\n"
-            f"side={self.image_side}\n"
-            f"rank={self.intrinsic_rank}\n"
-            f"noise={self.noise_level:g}\n"
-            f"seed={self.seed}\n"
+        return "".join(
+            f"{key}={format(getattr(self, name), 'g' if key == 'noise' else '')}\n"
+            for key, name in _SPEC_KEYS.items()
         )
 
 
@@ -438,29 +437,18 @@ def split_from_manifest(
 
 
 def _deal_quotas(
-    counts: tuple[int, int, int], n_samples: int, capacity: int
+    counts: tuple[int, int, int], n_samples: int
 ) -> list[tuple[int, int, int]]:
-    """Split per-class frame counts across samples.
-
-    Every sample first gets the floor share of each partition; the
-    remainders are dealt one frame at a time round-robin (rarest partition
-    first) skipping samples already at capacity, so the spread stays as
-    even as the counts allow.
-    """
+    """Split per-class frame counts across samples: each sample gets the
+    floor share of every partition, F frames in all, and the R remainders
+    are dealt round-robin, rarest partition first. A sample so holds at
+    most F + ceil(R / n_samples) frames, within ``frames_per_sample``
+    whenever ``SplitPolicy`` admits the counts."""
     quotas = [[count // n_samples] * n_samples for count in counts]
-    used = [sum(q[i] for q in quotas) for i in range(n_samples)]
     pos = 0
     for part in (2, 1, 0):  # test, validation, train
-        remainder = counts[part] - (counts[part] // n_samples) * n_samples
-        for _ in range(remainder):
-            hops = 0
-            while used[pos % n_samples] >= capacity:
-                pos += 1
-                hops += 1
-                if hops > n_samples:
-                    raise CapacityError("cannot place frame quota within capacity")
+        for _ in range(counts[part] % n_samples):
             quotas[part][pos % n_samples] += 1
-            used[pos % n_samples] += 1
             pos += 1
     return [tuple(q[i] for q in quotas) for i in range(n_samples)]
 
@@ -498,13 +486,12 @@ def split_dataset(
         training = chosen[: policy.train_samples]
         holdout = chosen[policy.train_samples :]
         counts = (policy.train_frames, policy.validation_frames, policy.test_frames)
-        quotas = _deal_quotas(counts, policy.train_samples, policy.frames_per_sample)
-        block_names = ("train", "validation", "test")
+        quotas = _deal_quotas(counts, policy.train_samples)
         for sample, quota in zip(training, quotas):
             perm = rng.permutation(3)
             cursor = 0
             for which in perm:
-                name = block_names[which]
+                name = PARTITIONS[which]
                 size = quota[which]
                 for k in range(cursor, cursor + size):
                     parts[name].append((sample.frames[k], label))

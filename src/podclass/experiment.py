@@ -22,8 +22,6 @@ label information. The subspace baseline never does.
 from __future__ import annotations
 
 import ctypes
-import functools
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -34,10 +32,10 @@ import numpy as np
 from . import convnet
 from .basis import BasisLibrary, fit_classes, library_from_fits, project_pairs
 from .dataset import PARTITIONS, DatasetSplit, SplitMetadata, partition_arrays
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .metrics import accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
-from .svd import TruncationRule
+from .svd import TruncationRule, _openblas_threads
 
 EVAL_PARTITIONS = ("validation", "test", "unseen")
 
@@ -109,7 +107,7 @@ def train_and_score(
     function of the final parameters alone.
     """
     if "train" not in data:
-        raise ConfigError("training needs a nonempty train partition")
+        raise CapacityError("training needs a nonempty train partition")
     h, w = metadata.frame_shape
     arch = convnet.Architecture(
         h, w, config.channels, config.hidden, len(metadata.classes), seed
@@ -149,40 +147,11 @@ def _train_and_score(
     return {"seed": seed, "final": result.history[-1], **scores}
 
 
-@functools.cache
-def _blas_thread_setter():
-    """``openblas_set_num_threads`` of the OpenBLAS this process has loaded,
-    or None. OpenBLAS reads its thread variables only when it loads, so a
-    forked worker can leave the parent's thread count only through this
-    call; the library is found in the process's memory map, as threadpoolctl
-    does, under any of the symbol names OpenBLAS builds export."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    paths = dict.fromkeys(
-        f[5].rstrip("\n")
-        for f in fields
-        if len(f) == 6 and "openblas" in os.path.basename(f[5])
-    )
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
-            setter = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if setter is not None:
-                return setter
-    return None
-
-
 def _worker_count(jobs: int) -> int:
     """One training process per available core, at most one per job; 1
     (train in this process) where fork or the BLAS thread setter is
     missing."""
-    if not hasattr(os, "fork") or _blas_thread_setter() is None:
+    if not hasattr(os, "fork") or _openblas_threads() is None:
         return 1
     return min(jobs, len(os.sched_getaffinity(0)))
 
@@ -212,7 +181,7 @@ def _start_worker(jobs: list) -> None:
     128) from the kernel and unmaps it when freed, so every batch faults
     in fresh zeroed pages. The calling process keeps its allocator."""
     global _worker_jobs
-    _blas_thread_setter()(1)  # the workers, not BLAS threads, fill the cores
+    _openblas_threads()[1](1)  # the workers, not BLAS threads, fill the cores
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, 1 << 30)
@@ -279,8 +248,6 @@ def _network_runs(
 
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
     """Execute every arm and assemble the deterministic report."""
-    if not split.train:
-        raise ConfigError("experiment needs a nonempty train partition")
     raw_parts = {n: pairs for n in PARTITIONS if (pairs := split.partition(n))}
 
     arms: dict[str, dict] = {}

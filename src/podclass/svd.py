@@ -8,6 +8,10 @@ comparable bit for bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +49,58 @@ def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
     coeffs *= signs
 
 
+@functools.cache
+def _openblas_threads():
+    """``(openblas_get_num_threads, openblas_set_num_threads)`` of the OpenBLAS
+    this process has loaded, or None. OpenBLAS reads its thread variables only
+    when it loads, so these calls are the only way to change its thread count
+    later. The library is found in /proc/self/maps, as threadpoolctl does."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(
+        f[5].rstrip("\n")
+        for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    )
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+            name = f"{prefix}openblas_{{}}_num_threads{suffix}"
+            get = getattr(library, name.format("get"), None)
+            set_ = getattr(library, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
 def thin_svd(matrix: np.ndarray) -> ThinSVD:
-    """Thin SVD with zero-modes dropped and the sign convention applied."""
+    """Thin SVD with zero-modes dropped and the sign convention applied.
+
+    LAPACK runs on one OpenBLAS thread, whose sums do not depend on the
+    core count; the caller's thread count is restored afterwards."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ConfigError(f"need a nonempty 2-D matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise NumericError("matrix contains non-finite entries")
-    modes, values, vt = np.linalg.svd(matrix, full_matrices=False)
+    # without OpenBLAS the count reads 1 and nothing is set
+    get_threads, set_threads = _openblas_threads() or (lambda: 1, None)
+    count = get_threads()
+    if count > 1:
+        set_threads(1)
+    try:
+        modes, values, vt = np.linalg.svd(matrix, full_matrices=False)
+    finally:
+        if count > 1:
+            set_threads(count)
     keep = values > RELATIVE_CUTOFF * values[0] if values[0] > 0 else values > 0
     r = int(np.count_nonzero(keep))
     if r == 0:
@@ -170,8 +218,8 @@ class TruncationRule:
         if self.tolerance is not None:
             return rank_for_energy(svd.values, self.tolerance), None
         threshold = hard_threshold(svd.values, shape)
-        if svd.values[0] > threshold:
-            return rank_by_hard_threshold(svd.values, shape), None
+        if rank := int(np.count_nonzero(svd.values > threshold)):
+            return rank, None
         return 1, (
             f"no singular value above the hard threshold {threshold:.4g} "
             f"(median sigma {np.median(svd.values):.4g}, "

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,6 +181,38 @@ def test_project_pairs_uses_true_class(tiny_split):
         assert np.allclose(
             proj.reshape(-1), basis.project(image.reshape(-1)), atol=1e-12
         )
+
+
+# The 64x64 class of 222 frames is one on which LAPACK's modes differ in
+# their last bits between 1 and 2 OpenBLAS threads; at 60 frames they agree.
+LIBRARY_DIGEST_SCRIPT = """
+import hashlib, sys
+from podclass.basis import build_library, save_library
+from podclass.dataset import SyntheticSpec, generate_synthetic
+spec = SyntheticSpec(
+    class_count=1, frames_per_class=222, image_side=64, intrinsic_rank=5,
+    noise_level=0.25, seed=7,
+)
+pairs = [(frame, s.label) for s in generate_synthetic(spec) for frame in s.frames]
+for tolerance in (None, 0.2):
+    save_library(build_library(pairs, (64, 64), tolerance=tolerance), sys.argv[1])
+    with open(sys.argv[1], "rb") as stream:
+        print(hashlib.sha256(stream.read()).hexdigest())
+"""
+
+
+def test_library_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests[threads] = subprocess.run(
+            [sys.executable, "-c", LIBRARY_DIGEST_SCRIPT, str(tmp_path / "lib.bin")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout.split()
+    assert len(digests["1"]) == 2
+    assert digests["1"] == digests["2"]
 
 
 # -- serialization -----------------------------------------------------------

@@ -142,21 +142,38 @@ def test_train_writes_outputs(data_dir, tmp_path):
         _assert_canonical_json((out / name).read_text(encoding="utf-8"))
 
 
-def test_train_without_train_partition_exit_2(data_dir, tmp_path, capsys):
-    # it used to end in a KeyError traceback
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("train", "training needs a nonempty train partition"),
+        ("experiment", "no frames to build a basis library from"),
+    ],
+)
+def test_train_without_train_partition_exit_3(
+    data_dir, tmp_path, capsys, command, message
+):
+    # train used to end in a KeyError traceback, then train and experiment
+    # exited 2 as if the settings, not the data, were at fault
     lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text(
         "".join(f"{line}\n" for line in lines if not line.startswith("train\t")),
         encoding="utf-8",
     )
+    out = tmp_path / "out"
     args = [
-        "train", "--data", str(data_dir), "--manifest", str(manifest),
-        "--epochs", "1", "--arch", "2,4,4,8", "--out", str(tmp_path / "model"),
+        command, "--data", str(data_dir), "--manifest", str(manifest),
+        "--epochs", "1", "--arch", "2,4,4,8", "--out", str(out),
     ]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err == "error: training needs a nonempty train partition\n"
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    # such a split is still valid data: a saved library scores it
+    lib = tmp_path / "lib.bin"
+    assert main(["build-basis", "--data", str(data_dir), "--out", str(lib)]) == 0
+    evaluate = ["evaluate", "--data", str(data_dir), "--manifest", str(manifest)]
+    assert main(evaluate + ["--library", str(lib)]) == 0
+    assert "unseen accuracy" in capsys.readouterr().out
 
 
 def test_experiment_writes_deterministic_report(data_dir, tmp_path, capsys):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podclass.dataset import (
     ClassLabel,
@@ -10,6 +12,7 @@ from podclass.dataset import (
     SplitMetadata,
     SplitPolicy,
     SyntheticSpec,
+    _deal_quotas,
     assemble_snapshot_matrix,
     generate_synthetic,
     group_by_class,
@@ -140,6 +143,32 @@ def test_split_respects_per_sample_capacity():
             per_sample[sid] = per_sample.get(sid, 0) + 1
     assert len(per_sample) == 9
     assert all(v == 10 for v in per_sample.values())
+
+
+@st.composite
+def quota_cases(draw):
+    """A valid policy's (train, validation, test) counts, samples n and
+    frames per sample f: any counts whose sum is at most n f."""
+    n = draw(st.integers(1, 30))
+    f = draw(st.integers(1, 100))
+    train = draw(st.integers(0, n * f))
+    validation = draw(st.integers(0, n * f - train))
+    test = draw(st.integers(0, n * f - train - validation))
+    return (train, validation, test), n, f
+
+
+@settings(max_examples=500, deadline=None)
+@given(quota_cases())
+def test_quota_dealer_spreads_counts_evenly_within_capacity(case):
+    counts, n, f = case
+    SplitPolicy(n, 0, f, *counts)  # the policy admits it
+    quotas = _deal_quotas(counts, n)
+    assert len(quotas) == n
+    for part, count in enumerate(counts):
+        shares = [quota[part] for quota in quotas]
+        assert sum(shares) == count
+        assert max(shares) - min(shares) <= 1
+    assert max(sum(quota) for quota in quotas) <= f
 
 
 def test_split_blocks_are_contiguous_per_sample():
@@ -381,6 +410,13 @@ def test_spec_config_round_trip(tmp_path, tiny_spec):
     path = tmp_path / "spec.txt"
     path.write_text(tiny_spec.to_config_text())
     assert SyntheticSpec.from_config_file(path) == tiny_spec
+
+
+def test_spec_config_text_lists_every_field_in_file_order():
+    spec = SyntheticSpec(3, 36, 16, 2, 0.1 + 0.2, 11)
+    assert spec.to_config_text() == (
+        "classes=3\nframes=36\nside=16\nrank=2\nnoise=0.3\nseed=11\n"
+    )
 
 
 def test_spec_config_lines_end_at_newline_only(tmp_path, tiny_spec):

@@ -210,7 +210,7 @@ def test_no_warnings_above_the_noise_edge(small_report):
 
 
 needs_workers = pytest.mark.skipif(
-    experiment._blas_thread_setter() is None,
+    svd._openblas_threads() is None,
     reason="numpy is not linked against OpenBLAS: trainings run in-process",
 )
 

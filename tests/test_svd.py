@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from podclass import svd as svd_module
 from podclass.errors import ConfigError, NumericError
 from podclass.svd import (
     ThinSVD,
     TruncationRule,
     _fix_signs,
+    _openblas_threads,
     gavish_donoho_omega,
     rank_by_hard_threshold,
     rank_for_energy,
@@ -113,6 +115,37 @@ def test_sign_fix_matches_the_column_loop_bit_for_bit(rng):
     assert np.array_equal(cases[0][1], [[-1.0, 2.0, -3.0]])
 
 
+@pytest.mark.skipif(
+    _openblas_threads() is None, reason="numpy is not linked against OpenBLAS"
+)
+def test_lapack_runs_on_one_blas_thread_and_restores_the_count(rng, monkeypatch):
+    get_threads, set_threads = _openblas_threads()
+    lapack = np.linalg.svd
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(get_threads())
+        return lapack(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        seen.append(get_threads())
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    before = get_threads()
+    try:
+        set_threads(2)
+        caller = get_threads()
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        thin_svd(rng.normal(size=(40, 10)))
+        assert seen == [1] and get_threads() == caller
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            thin_svd(rng.normal(size=(40, 10)))
+        assert seen == [1, 1] and get_threads() == caller
+    finally:
+        set_threads(before)
+
+
 # -- truncation --------------------------------------------------------------
 
 
@@ -206,6 +239,28 @@ def test_truncation_rule_select_dispatch(rng):
     )
     auto, _ = TruncationRule().select(svd, matrix.shape)
     assert auto == rank_by_hard_threshold(svd.values, matrix.shape)
+
+
+def test_hard_threshold_rule_computes_the_threshold_once(rng, monkeypatch):
+    calls = []
+    threshold = svd_module.hard_threshold
+
+    def counting(values, shape):
+        calls.append(shape)
+        return threshold(values, shape)
+
+    monkeypatch.setattr(svd_module, "hard_threshold", counting)
+
+    def select(matrix):
+        calls.clear()
+        return TruncationRule().select(thin_svd(matrix), matrix.shape)
+
+    planted = rng.normal(size=(300, 4)) @ rng.normal(size=(4, 80)) * 10
+    planted += rng.normal(0, 1e-3, size=planted.shape)
+    assert select(planted) == (4, None) and calls == [planted.shape]
+    flat = np.linalg.qr(rng.normal(size=(40, 10)))[0]  # ten equal values
+    rank, note = select(flat)
+    assert rank == 1 and "fell back to rank 1" in note and calls == [flat.shape]
 
 
 def test_truncation_rule_is_checked_at_construction():
