@@ -148,6 +148,7 @@ def test_train_writes_outputs(data_dir, tmp_path):
         ("train", "training needs a nonempty train partition"),
         ("experiment", "no frames to build a basis library from"),
     ],
+    ids=["train", "experiment"],
 )
 def test_train_without_train_partition_exit_3(
     data_dir, tmp_path, capsys, command, message
