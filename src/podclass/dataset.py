@@ -205,6 +205,11 @@ class SyntheticSpec:
             raise ConfigError("need 1 <= intrinsic_rank < frames_per_class")
         if self.image_side < 8:
             raise ConfigError("image_side must be at least 8")
+        if self.class_count * self.intrinsic_rank > self.image_side**2:
+            raise ConfigError(
+                f"{self.class_count} classes x rank {self.intrinsic_rank} patterns "
+                f"need disjoint supports but only {self.image_side**2} pixels exist"
+            )
         if not 0 <= self.noise_level < float("inf"):
             raise ConfigError("noise_level must be finite and nonnegative")
 
@@ -293,14 +298,15 @@ def _assemble_split(
 # Disk ingestion / export
 # ---------------------------------------------------------------------------
 
-_FRAME_RE = re.compile(r"^\d+\.pgm$")
+_FRAME_RE = re.compile(r"\d+\.pgm")
 
 
 def load_dataset(root: str | Path) -> list[Sample]:
     """Load a ``<root>/<class_code>/<sample_id>/<index>.pgm`` tree.
 
-    Classes get ids in sorted directory order; frames are sorted by
-    filename and rescaled from 8-bit storage to [0, 1].
+    Classes get ids in sorted directory order; frames are sorted by the
+    integer value of their index, which must be unique within a sample,
+    and rescaled from 8-bit storage to [0, 1].
     """
     root = Path(root)
     if not root.is_dir():
@@ -315,12 +321,19 @@ def load_dataset(root: str | Path) -> list[Sample]:
         if not sample_dirs:
             raise DataError(f"class directory {class_dir} has no sample directories")
         for sample_dir in sample_dirs:
-            frame_files = sorted(
-                p for p in sample_dir.iterdir() if _FRAME_RE.match(p.name)
-            )
-            if not frame_files:
+            by_index: dict[int, str] = {}
+            for name in sorted(p.name for p in sample_dir.iterdir()):
+                if _FRAME_RE.fullmatch(name):
+                    first = by_index.setdefault(int(name[:-4]), name)
+                    if first != name:
+                        raise DataFormatError(
+                            f"sample directory {sample_dir} has two frames of one "
+                            f"index: {first} and {name}"
+                        )
+            if not by_index:
                 raise DataError(f"sample directory {sample_dir} has no .pgm frames")
-            frames = [to_unit(read_pgm(p)) for p in frame_files]
+            paths = (sample_dir / by_index[k] for k in sorted(by_index))
+            frames = [to_unit(read_pgm(path)) for path in paths]
             samples.append(Sample(label, sample_dir.name, frames))
     return samples
 
@@ -531,11 +544,6 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Sample]:
     """
     side, n_classes, rank = spec.image_side, spec.class_count, spec.intrinsic_rank
     j = side * side
-    if n_classes * rank > j:
-        raise CapacityError(
-            f"{n_classes} classes x rank {rank} patterns need disjoint supports "
-            f"but only {j} pixels exist"
-        )
     rng = np.random.default_rng(spec.seed)
 
     support = rng.permutation(j)

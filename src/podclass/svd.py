@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,33 +50,25 @@ def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
 
 @functools.cache
 def _openblas_threads():
-    """``(openblas_get_num_threads, openblas_set_num_threads)`` of the OpenBLAS
-    this process has loaded, or None. OpenBLAS reads its thread variables only
-    when it loads, so these calls are the only way to change its thread count
-    later. The library is found in /proc/self/maps, as threadpoolctl does."""
+    """``(openblas_get_num_threads, openblas_set_num_threads)`` of numpy's
+    OpenBLAS, or None. OpenBLAS reads its thread variables only when it loads,
+    so these calls are the only way to change its thread count later. A
+    library handle's lookup searches only that object and its dependencies,
+    so the handle of the extension behind ``np.linalg.svd`` finds numpy's
+    OpenBLAS, never another copy in the process (scipy's)."""
     try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
+        from numpy.linalg import _umath_linalg
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
         return None
-    paths = dict.fromkeys(
-        f[5].rstrip("\n")
-        for f in fields
-        if len(f) == 6 and "openblas" in os.path.basename(f[5])
-    )
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
-            name = f"{prefix}openblas_{{}}_num_threads{suffix}"
-            get = getattr(library, name.format("get"), None)
-            set_ = getattr(library, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+        name = f"{prefix}openblas_{{}}_num_threads{suffix}"
+        get = getattr(library, name.format("get"), None)
+        set_ = getattr(library, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
     return None
 
 

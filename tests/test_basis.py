@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -201,14 +202,32 @@ for tolerance in (None, 0.2):
 """
 
 
-def test_library_bytes_do_not_depend_on_blas_threads(tmp_path):
+# scipy loads an OpenBLAS of its own; pinning that one would leave numpy's
+# LAPACK on every core
+@pytest.mark.parametrize(
+    "preamble",
+    [
+        "",
+        pytest.param(
+            "import scipy.linalg\n",
+            marks=pytest.mark.skipif(
+                importlib.util.find_spec("scipy") is None, reason="needs scipy"
+            ),
+        ),
+    ],
+    ids=["numpy-only", "scipy-first"],
+)
+def test_library_bytes_do_not_depend_on_blas_threads(tmp_path, preamble):
     src = str(Path(__file__).resolve().parent.parent / "src")
     digests = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         digests[threads] = subprocess.run(
-            [sys.executable, "-c", LIBRARY_DIGEST_SCRIPT, str(tmp_path / "lib.bin")],
+            [
+                sys.executable, "-c", preamble + LIBRARY_DIGEST_SCRIPT,
+                str(tmp_path / "lib.bin"),
+            ],
             env=env, capture_output=True, text=True, timeout=300, check=True,
         ).stdout.split()
     assert len(digests["1"]) == 2

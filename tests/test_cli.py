@@ -323,13 +323,24 @@ def test_ingest_check_mixed_frame_shapes_exit_3(data_dir, tmp_path, capsys):
     assert err == "error: sample C1/s00 has frame shape (8, 8), expected (16, 16)\n"
 
 
-@pytest.mark.parametrize("noise", ["nan", "inf"])
-def test_synth_non_finite_noise_exit_2(tmp_path, capsys, noise):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("noise=nan\n", "noise_level must be finite"),
+        ("noise=inf\n", "noise_level must be finite"),
+        (
+            "classes=5\nside=8\nrank=13\nframes=20\n",
+            "5 classes x rank 13 patterns need disjoint supports but only 64 pixels",
+        ),
+    ],
+    ids=["nan", "inf", "capacity"],
+)
+def test_synth_bad_spec_exit_2(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.txt"
-    spec.write_text(f"noise={noise}\n", encoding="utf-8")
+    spec.write_text(text, encoding="utf-8")
     out = tmp_path / "data"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
-    assert "noise_level must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -363,6 +363,26 @@ def test_load_dataset_empty_sample_dir(tmp_path):
         load_dataset(tmp_path / "data")
 
 
+def test_load_dataset_orders_unpadded_frames_by_index(tmp_path):
+    sample_dir = tmp_path / "data" / "C0" / "s00"
+    sample_dir.mkdir(parents=True)
+    for k in range(12):
+        write_pgm(sample_dir / f"{k}.pgm", np.full((2, 2), k, dtype=np.uint8))
+    write_pgm(sample_dir / "12.pgm\n", np.zeros((2, 2), dtype=np.uint8))  # not a frame
+    (sample,) = load_dataset(tmp_path / "data")
+    assert [round(frame[0, 0] * 255) for frame in sample.frames] == list(range(12))
+
+
+def test_load_dataset_refuses_two_frames_of_one_index(tmp_path):
+    sample_dir = tmp_path / "data" / "C0" / "s00"
+    sample_dir.mkdir(parents=True)
+    for name in ("0.pgm", "1.pgm", "01.pgm"):
+        write_pgm(sample_dir / name, np.zeros((2, 2), dtype=np.uint8))
+    message = f"{sample_dir} has two frames of one index: 01.pgm and 1.pgm"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_dataset(tmp_path / "data")
+
+
 # -- synthetic generator -----------------------------------------------------
 
 
@@ -445,6 +465,11 @@ def test_spec_config_rejects_non_utf8_text(tmp_path):
 def test_spec_rejects_bad_rank():
     with pytest.raises(ConfigError):
         SyntheticSpec(frames_per_class=10, intrinsic_rank=10)
+    message = "5 classes x rank 13 patterns need disjoint supports but only 64 pixels"
+    with pytest.raises(ConfigError, match=message):
+        SyntheticSpec(
+            class_count=5, frames_per_class=20, image_side=8, intrinsic_rank=13
+        )
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["nan", "inf"])
