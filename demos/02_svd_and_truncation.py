@@ -14,12 +14,7 @@ from podclass.dataset import (
     generate_synthetic,
     group_by_class,
 )
-from podclass.svd import (
-    rank_by_hard_threshold,
-    rank_for_energy,
-    thin_svd,
-    truncate,
-)
+from podclass.svd import TruncationRule, rank_for_energy, thin_svd, truncate
 
 spec = SyntheticSpec(
     class_count=1, frames_per_class=60, image_side=24, intrinsic_rank=4,
@@ -50,5 +45,5 @@ for r in (2, 4, 8):
 for tol in (0.3, 0.1, 0.03):
     print(f"energy tolerance {tol}: rank {rank_for_energy(svd.values, tol)}")
 
-auto = rank_by_hard_threshold(svd.values, matrix.shape)
+auto, _ = TruncationRule().select(svd.values, matrix.shape)
 print(f"hard-threshold rank (planted rank was {spec.intrinsic_rank}): {auto}")

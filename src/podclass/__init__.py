@@ -58,7 +58,6 @@ from .svd import (
     ThinSVD,
     TruncationRule,
     gavish_donoho_omega,
-    rank_by_hard_threshold,
     rank_for_energy,
     thin_svd,
     truncate,
@@ -103,7 +102,6 @@ __all__ = [
     "load_factors",
     "load_library",
     "project_pairs",
-    "rank_by_hard_threshold",
     "rank_for_energy",
     "residual_matrix",
     "rmsprop_step",

@@ -22,7 +22,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     DataFormatError,
-    NumericError,
     read_array,
     read_container,
     read_fields,
@@ -143,7 +142,7 @@ class ClassFit:
                 f"class {code}: all {k} frames identical; "
                 "using canonical one-mode basis"
             ]
-        rank, note = rule.select(self.svd, self.shape)
+        rank, note = rule.select(self.svd.values, self.shape)
         kept = truncate(self.svd, rank)
         basis = ClassBasis(
             self.label, self.mean, kept.modes.copy(), values=kept.values.copy()
@@ -252,8 +251,6 @@ def load_factors(path: str | Path) -> ThinSVD:
         coeffs = read_array(stream, (k, r), "coefficients", "F")
     if np.any(values < 0) or np.any(np.diff(values) > 0):
         raise DataFormatError(f"{path}: singular values not nonincreasing")
-    if not (np.isfinite(values).all() and np.isfinite(modes).all()):
-        raise NumericError(f"{path}: non-finite factor entries")
     return ThinSVD(modes=modes, values=values, coeffs=coeffs)
 
 
@@ -301,10 +298,4 @@ def load_library(path: str | Path) -> BasisLibrary:
             mean = read_array(stream, (j,), f"class {code} mean", "F")
             modes = read_array(stream, (j, rank), f"class {code} modes", "F")
             bases.append(ClassBasis(ClassLabel(class_id, code), mean, modes))
-    for basis in bases:
-        if not (np.isfinite(basis.mean).all() and np.isfinite(basis.modes).all()):
-            raise NumericError(f"{path}: class {basis.label.code}: non-finite basis")
-    try:
         return BasisLibrary((int(h), int(w)), tuple(bases), provenance)
-    except ConfigError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc

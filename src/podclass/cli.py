@@ -253,6 +253,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
+    if Path(args.out).resolve() == Path(args.data).resolve():
+        raise ConfigError(f"--out {args.out} is the --data directory")
     rule = _rule(args)
     samples, split, manifest = _load_split(args)
     library = _train_library(split, rule)

@@ -567,15 +567,9 @@ def load_checkpoint(path: str | Path) -> tuple[Architecture, Params]:
     with read_container(path, CHECKPOINT_MAGIC, "parameters") as stream:
         fields = read_fields(stream, "8Q", "architecture")
         h, w, c1, c2, c3, hidden, classes, seed = fields
-        try:
-            arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
-        except ConfigError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
+        arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
         arrays = [
             read_array(stream, shape, name, "C")
             for name, shape in param_shapes(arch).items()
         ]
-    for array in arrays:
-        if not np.isfinite(array).all():
-            raise NumericError(f"{path}: non-finite parameter values")
     return arch, Params.from_arrays(arrays)

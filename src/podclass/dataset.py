@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DataError, DataFormatError
-from .pgm import from_unit, pgm_header, read_pgm, to_unit
+from .pgm import from_unit, read_pgm, to_unit, write_pgm
 
 PARTITIONS = ("train", "validation", "test", "unseen")
 
@@ -218,6 +218,7 @@ class SyntheticSpec:
         """Parse a key=value config file (keys: classes, frames, side, rank,
         noise, seed; '#' starts a comment)."""
         values: dict[str, float] = {}
+        set_at: dict[str, int] = {}
         try:
             text = Path(path).read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -231,6 +232,11 @@ class SyntheticSpec:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _SPEC_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_at:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} already set at line {set_at[key]}"
+                )
+            set_at[key] = lineno
             try:
                 values[_SPEC_KEYS[key]] = float(value) if key == "noise" else int(value)
             except ValueError as exc:
@@ -341,17 +347,14 @@ def load_dataset(root: str | Path) -> list[Sample]:
 def write_samples(samples: Sequence[Sample], root: str | Path) -> None:
     """Export samples as the PGM directory layout (clamped 8-bit frames).
 
-    Each sample is quantized as one stack under one header; the files are
-    what ``write_pgm`` writes frame by frame.
+    Each sample is quantized as one stack, then written frame by frame.
     """
     os.makedirs(root, exist_ok=True)
     for sample in samples:
         sample_dir = os.path.join(root, sample.label.code, sample.sample_id)
         os.makedirs(sample_dir, exist_ok=True)
-        header = pgm_header(*sample.frame_shape)
         for k, gray in enumerate(from_unit(np.stack(sample.frames))):
-            with open(os.path.join(sample_dir, f"{k:04d}.pgm"), "wb") as stream:
-                stream.write(header + gray.tobytes())
+            write_pgm(os.path.join(sample_dir, f"{k:04d}.pgm"), gray)
 
 
 def write_manifest(split: DatasetSplit, path: str | Path) -> None:

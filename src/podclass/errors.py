@@ -5,8 +5,9 @@ The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError (and subclasses) -> 3, NumericError -> 4.
 
 A container is little-endian throughout: a 4-byte magic, a u32 version,
-fixed-width integer fields, float64 arrays in the order each format names,
-and nothing after the last array.
+fixed-width integer fields, finite float64 arrays in the order each format
+names, and nothing after the last array. ``read_container`` and
+``read_array`` own these checks for every format.
 """
 
 import math
@@ -79,7 +80,8 @@ def write_container(path: str | Path, magic: bytes) -> Iterator[BinaryIO]:
 @contextmanager
 def read_container(path: Path, magic: bytes, what: str) -> Iterator[BinaryIO]:
     """Open ``path``, check its magic and version, and once the body has
-    read ``what``, refuse any byte left over."""
+    read ``what``, refuse any byte left over. A ConfigError raised while
+    the body builds its objects is an impossible header: DataFormatError."""
     with open(path, "rb") as stream:
         got = read_exact(stream, 4, "magic")
         if got != magic:
@@ -89,7 +91,10 @@ def read_container(path: Path, magic: bytes, what: str) -> Iterator[BinaryIO]:
         (version,) = read_fields(stream, "I", "version")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        yield stream
+        try:
+            yield stream
+        except ConfigError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
         if stream.read(1):
             raise DataFormatError(f"{path}: trailing bytes after {what}")
 
@@ -111,7 +116,10 @@ def write_array(stream: BinaryIO, array: np.ndarray, order: str) -> None:
 def read_array(
     stream: BinaryIO, shape: tuple[int, ...], what: str, order: str
 ) -> np.ndarray:
-    """A float64 array stored in ``order``, returned as a C-ordered copy."""
+    """A finite float64 array stored in ``order``, returned as a C-ordered
+    copy."""
     data = read_exact(stream, 8 * math.prod(shape), what)
     array = np.frombuffer(data, dtype="<f8").reshape(shape, order=order)
+    if not np.isfinite(array).all():
+        raise NumericError(f"{stream.name}: non-finite values in {what}")
     return np.asarray(array, dtype=np.float64, order="C").copy()

@@ -73,12 +73,9 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise DataFormatError("write_pgm expects a 2-D uint8 array")
-    Path(path).write_bytes(pgm_header(*gray.shape) + gray.tobytes())
-
-
-def pgm_header(height: int, width: int) -> bytes:
-    """The header of an 8-bit binary PGM; the row-major raster follows it."""
-    return f"P5\n{width} {height}\n255\n".encode("ascii")
+    height, width = gray.shape
+    with open(path, "wb") as stream:
+        stream.write(f"P5\n{width} {height}\n255\n".encode("ascii") + gray.tobytes())
 
 
 def to_unit(gray: np.ndarray) -> np.ndarray:

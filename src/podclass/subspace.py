@@ -19,16 +19,13 @@ from .errors import CapacityError, DataFormatError
 def residual_matrix(library: BasisLibrary, images: np.ndarray) -> np.ndarray:
     """Distance of each image to each class subspace.
 
-    ``images`` is (N, H, W) or (N, J); returns (N, C) with columns in
-    library (class-id) order.
+    ``images`` is (N, H, W); returns (N, C) with columns in library
+    (class-id) order.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        vectors = images.reshape(images.shape[0], -1).T
-    elif images.ndim == 2:
-        vectors = images.T
-    else:
+    if images.ndim != 3:
         raise DataFormatError(f"expected a batch of images, got shape {images.shape}")
+    vectors = images.reshape(images.shape[0], -1).T
     j = library.frame_shape[0] * library.frame_shape[1]
     if vectors.shape[0] != j:
         raise DataFormatError(

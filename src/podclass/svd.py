@@ -156,13 +156,6 @@ def hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> float:
     return gavish_donoho_omega(beta) * float(np.median(values))
 
 
-def rank_by_hard_threshold(values: np.ndarray, shape: tuple[int, int]) -> int:
-    """Keep the singular values above :func:`hard_threshold`. Never returns 0."""
-    threshold = hard_threshold(values, shape)
-    rank = int(np.count_nonzero(np.asarray(values) > threshold))
-    return max(rank, 1)
-
-
 @dataclass(frozen=True)
 class TruncationRule:
     """How many leading modes to keep: a fixed rank, the smallest rank
@@ -198,21 +191,24 @@ class TruncationRule:
             return {"kind": "energy", "tolerance": self.tolerance}
         return {"kind": "hard-threshold"}
 
-    def select(self, svd: ThinSVD, shape: tuple[int, int]) -> tuple[int, str | None]:
-        """Rank to keep from ``svd`` of a matrix of ``shape``, plus a note
-        when the rule could not be met as stated (a rank capped at the
-        available one, or the hard threshold's rank-1 fallback)."""
+    def select(
+        self, values: np.ndarray, shape: tuple[int, int]
+    ) -> tuple[int, str | None]:
+        """Rank to keep from the nonincreasing spectrum ``values`` of a
+        matrix of ``shape``, plus a note when the rule could not be met as
+        stated (a rank capped at the available one, or the hard threshold's
+        rank-1 fallback)."""
         if self.rank is not None:
-            if self.rank > svd.rank:
-                return svd.rank, f"requested rank {self.rank} capped at {svd.rank}"
-            return self.rank, None
+            if self.rank <= values.size:
+                return self.rank, None
+            return values.size, f"requested rank {self.rank} capped at {values.size}"
         if self.tolerance is not None:
-            return rank_for_energy(svd.values, self.tolerance), None
-        threshold = hard_threshold(svd.values, shape)
-        if rank := int(np.count_nonzero(svd.values > threshold)):
+            return rank_for_energy(values, self.tolerance), None
+        threshold = hard_threshold(values, shape)
+        if rank := int(np.count_nonzero(values > threshold)):
             return rank, None
         return 1, (
             f"no singular value above the hard threshold {threshold:.4g} "
-            f"(median sigma {np.median(svd.values):.4g}, "
-            f"sigma_1 {svd.values[0]:.4g}); fell back to rank 1"
+            f"(median sigma {np.median(values):.4g}, "
+            f"sigma_1 {values[0]:.4g}); fell back to rank 1"
         )

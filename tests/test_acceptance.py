@@ -25,7 +25,7 @@ from podclass.dataset import (
     write_samples,
 )
 from podclass.experiment import ExperimentConfig, TruncationRule, render_report, run_experiment
-from podclass.svd import rank_by_hard_threshold, thin_svd, truncate
+from podclass.svd import thin_svd, truncate
 
 RESULTS: list[str] = []
 
@@ -108,7 +108,7 @@ def test_noise_threshold_recovers_planted_rank():
         u, _ = np.linalg.qr(rng.standard_normal((m, k)))
         v, _ = np.linalg.qr(rng.standard_normal((m, k)))
         a = (u * np.linspace(3.0, 1.0, k)) @ v.T + sigma * rng.standard_normal((m, m))
-        if rank_by_hard_threshold(thin_svd(a).values, a.shape) == k:
+        if TruncationRule().select(thin_svd(a).values, a.shape)[0] == k:
             hits += 1
     elapsed = time.perf_counter() - start
     ok = hits >= 95 and elapsed < 60.0

@@ -124,6 +124,26 @@ def test_project_writes_project_pairs_output(data_dir, tmp_path):
     assert np.array_equal(written, expected)
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_project_onto_its_own_data_exit_2(data_dir, tmp_path, capsys, spelling):
+    # it used to replace the raw frames with their projections and exit 0
+    root = tmp_path / "data"
+    shutil.copytree(data_dir, root)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    out = root if spelling == "same" else root / "C0" / ".."
+    args = ["project", "--data", str(root), "--rank", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert "is the --data directory" in capsys.readouterr().err
+    after = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    assert after == before
+
+
+def test_project_onto_its_own_data_is_refused_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "nope")
+    assert main(["project", "--data", missing, "--out", missing]) == 2
+    assert "is the --data directory" in capsys.readouterr().err
+
+
 def test_train_writes_outputs(data_dir, tmp_path):
     out = tmp_path / "model"
     assert main(
@@ -332,8 +352,9 @@ def test_ingest_check_mixed_frame_shapes_exit_3(data_dir, tmp_path, capsys):
             "classes=5\nside=8\nrank=13\nframes=20\n",
             "5 classes x rank 13 patterns need disjoint supports but only 64 pixels",
         ),
+        ("classes=3\nclasses=2\n", ":2: key 'classes' already set at line 1"),
     ],
-    ids=["nan", "inf", "capacity"],
+    ids=["nan", "inf", "capacity", "duplicate-key"],
 )
 def test_synth_bad_spec_exit_2(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.txt"

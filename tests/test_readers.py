@@ -38,7 +38,12 @@ from podclass.dataset import (
     split_from_manifest,
     write_manifest,
 )
-from podclass.errors import FORMAT_VERSION, DataFormatError, PodClassError
+from podclass.errors import (
+    FORMAT_VERSION,
+    DataFormatError,
+    NumericError,
+    PodClassError,
+)
 from podclass.pgm import read_pgm, write_pgm
 from podclass.svd import thin_svd
 
@@ -130,6 +135,35 @@ def test_containers_share_header_and_end_checks(valid_files, tmp_path, name):
         with pytest.raises(DataFormatError) as caught:
             LOADERS[name](path)
         assert str(caught.value).startswith(f"{path}: {message}")
+
+
+# Offsets of each array's first float in ``valid_files``: factors hold
+# sigma (2), W (3 x 2), T (2 x 2); the library holds one 2x2 rank-1 class; a
+# checkpoint's first tensor follows its 72-byte header and its last ends
+# the file.
+FLOAT_ARRAYS = [
+    ("factors", "singular values", -8 * (2 + 6 + 4)),
+    ("factors", "modes", -8 * (6 + 4)),
+    ("factors", "coefficients", -8 * 4),
+    ("library", "class A mean", -8 * (4 + 4)),
+    ("library", "class A modes", -8 * 4),
+    ("checkpoint", "kernel1", 72),
+    ("checkpoint", "output_bias", -8),
+]
+
+
+@pytest.mark.parametrize(
+    "name, what, offset", FLOAT_ARRAYS, ids=[f"{n}-{w}" for n, w, _ in FLOAT_ARRAYS]
+)
+def test_non_finite_array_is_a_numeric_error(valid_files, tmp_path, name, what, offset):
+    # a factor file with a NaN coefficient used to load without error
+    data = bytearray(valid_files[name])
+    start = offset % len(data)
+    data[start : start + 8] = struct.pack("<d", float("nan"))
+    path = _write(tmp_path, bytes(data), name)
+    with pytest.raises(NumericError) as caught:
+        LOADERS[name](path)
+    assert str(caught.value) == f"{path}: non-finite values in {what}"
 
 
 # -- arbitrary bytes ----------------------------------------------------------

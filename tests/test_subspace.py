@@ -60,3 +60,9 @@ def test_rejects_wrong_pixel_count():
     library = axis_library()
     with pytest.raises(DataFormatError):
         residual_matrix(library, np.zeros((1, 3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4,), (1, 1, 2, 2)])
+def test_rejects_a_batch_that_is_not_n_by_h_by_w(shape):
+    with pytest.raises(DataFormatError, match="expected a batch of images"):
+        residual_matrix(axis_library(), np.zeros(shape))

@@ -9,7 +9,6 @@ from podclass.svd import (
     _fix_signs,
     _openblas_threads,
     gavish_donoho_omega,
-    rank_by_hard_threshold,
     rank_for_energy,
     thin_svd,
     truncate,
@@ -217,28 +216,30 @@ def test_hard_threshold_recovers_planted_rank(rng):
     signal = left @ np.diag([9.0, 8.0, 7.0, 6.0]) @ right.T
     noisy = signal + rng.normal(0, 1e-3, size=(j, k))
     values = np.linalg.svd(noisy, compute_uv=False)
-    assert rank_by_hard_threshold(values, (j, k)) == true_rank
+    assert TruncationRule().select(values, (j, k))[0] == true_rank
 
 
 def test_hard_threshold_never_zero():
     values = np.full(10, 3.0)  # threshold = 2.86 * 3 > every value
-    assert rank_by_hard_threshold(values, (100, 10)) == 1
+    assert TruncationRule().select(values, (100, 10))[0] == 1
 
 
 def test_truncation_rule_select_dispatch(rng):
     matrix = rng.normal(size=(40, 10))
     svd = thin_svd(matrix)
-    assert TruncationRule(rank=3).select(svd, matrix.shape) == (3, None)
-    assert TruncationRule(rank=999).select(svd, matrix.shape) == (
+    values = svd.values
+    assert TruncationRule(rank=3).select(values, matrix.shape) == (3, None)
+    assert TruncationRule(rank=999).select(values, matrix.shape) == (
         svd.rank,
         f"requested rank 999 capped at {svd.rank}",
     )
-    assert TruncationRule(tolerance=0.3).select(svd, matrix.shape) == (
-        rank_for_energy(svd.values, 0.3),
+    assert TruncationRule(tolerance=0.3).select(values, matrix.shape) == (
+        rank_for_energy(values, 0.3),
         None,
     )
-    auto, _ = TruncationRule().select(svd, matrix.shape)
-    assert auto == rank_by_hard_threshold(svd.values, matrix.shape)
+    auto, _ = TruncationRule().select(values, matrix.shape)
+    above = np.count_nonzero(values > svd_module.hard_threshold(values, matrix.shape))
+    assert auto == max(above, 1)
 
 
 def test_hard_threshold_rule_computes_the_threshold_once(rng, monkeypatch):
@@ -253,7 +254,7 @@ def test_hard_threshold_rule_computes_the_threshold_once(rng, monkeypatch):
 
     def select(matrix):
         calls.clear()
-        return TruncationRule().select(thin_svd(matrix), matrix.shape)
+        return TruncationRule().select(thin_svd(matrix).values, matrix.shape)
 
     planted = rng.normal(size=(300, 4)) @ rng.normal(size=(4, 80)) * 10
     planted += rng.normal(0, 1e-3, size=planted.shape)
