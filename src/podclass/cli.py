@@ -129,9 +129,10 @@ def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
 def _load_split(args) -> tuple[list[Sample], DatasetSplit, Path | None]:
     """Samples, split, and the manifest read (None: split drawn by seed)."""
     samples = load_dataset(args.data)
-    manifest = Path(args.manifest) if args.manifest else Path(args.data) / MANIFEST_NAME
+    named = args.manifest is not None  # a named manifest must exist
+    manifest = Path(args.manifest) if named else Path(args.data) / MANIFEST_NAME
     view = Path(args.data).name
-    if manifest.is_file():
+    if named or manifest.is_file():
         return samples, split_from_manifest(samples, manifest, view=view), manifest
     policy = SplitPolicy.for_samples(samples)
     return samples, split_dataset(samples, policy, seed=args.seed, view=view), None
@@ -253,12 +254,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
-    if Path(args.out).resolve() == Path(args.data).resolve():
-        raise ConfigError(f"--out {args.out} is the --data directory")
+    out = Path(args.out)
+    data, target = Path(args.data).resolve(), out.resolve()
+    if target == data or data in target.parents:
+        raise ConfigError(f"--out {args.out} is the --data directory or inside it")
     rule = _rule(args)
     samples, split, manifest = _load_split(args)
     library = _train_library(split, rule)
-    out = Path(args.out)
     for s in samples:  # one sample's projections in memory at a time
         pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
         write_samples([Sample(s.label, s.sample_id, [im for im, _ in pairs])], out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -80,30 +80,46 @@ class SplitMetadata:
 
 
 Pair = tuple[np.ndarray, ClassLabel]
-Origin = tuple[str, int]  # (sample_id, frame index within the sample)
+Row = tuple[Sample, int]  # a sample and the index of one of its frames
 
 
-@dataclass
 class DatasetSplit:
-    """Four disjoint frame partitions plus per-frame sample provenance.
+    """Four disjoint frame partitions of ``samples``, given as ``rows[p]``:
+    partition ``p`` in order, one ``(sample, frame index)`` row per frame.
 
-    ``origins[p][i]`` names the sample and frame index that produced pair
-    ``i`` of partition ``p``; it is what the manifest serializes and what
-    per-sample aggregation needs.
+    Each partition's pairs and its ``origins`` (the sample id and frame
+    index of each pair, which the manifest records) are read off its rows
+    once, so they cannot disagree. The split keeps no sample: a frame that
+    no row names is freed once the caller drops the samples. ``metadata``
+    holds the class roster of all samples and the frame shape they must
+    all share.
 
     Every class in another partition must have train frames, since its
     basis and the network learn it from those alone. A split with no train
     frames at all is left to whatever needs them to refuse.
     """
 
-    train: list[Pair]
-    validation: list[Pair]
-    test: list[Pair]
-    unseen: list[Pair]
-    metadata: SplitMetadata
-    origins: dict[str, tuple[Origin, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, samples: Sequence[Sample], rows: dict[str, Sequence[Row]], view: str = ""
+    ) -> None:
+        if not samples:
+            raise CapacityError("no samples to split")
+        shape = samples[0].frame_shape
+        for sample in samples:
+            if sample.frame_shape != shape:
+                raise DataFormatError(
+                    f"sample {sample.label.code}/{sample.sample_id} has frame shape "
+                    f"{sample.frame_shape}, expected {shape}"
+                )
+        self.metadata = SplitMetadata(view, shape, tuple(group_by_class(samples)))
+        self.train, self.validation, self.test, self.unseen = (
+            [(sample.frames[k], sample.label) for sample, k in rows[name]]
+            for name in PARTITIONS
+        )
+        self.origins = {
+            name: tuple((sample.sample_id, k) for sample, k in rows[name])
+            for name in PARTITIONS
+        }
         if not self.train:
             return
         present = {n: {label for _, label in getattr(self, n)} for n in PARTITIONS}
@@ -237,7 +253,12 @@ class SyntheticSpec:
                     f"{path}:{lineno}: key {key!r} already set at line {set_at[key]}"
                 )
             set_at[key] = lineno
+            # as in manifests and PGM headers: ASCII, no "_" separators, and
+            # counts and seeds in plain digits
+            plain = "_" not in value if key == "noise" else value.isdigit()
             try:
+                if not (value.isascii() and plain):
+                    raise ValueError(value)
                 values[_SPEC_KEYS[key]] = float(value) if key == "noise" else int(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
@@ -272,32 +293,6 @@ def group_by_class(samples: Iterable[Sample]) -> dict[ClassLabel, list[Sample]]:
     for sample in samples:
         grouped.setdefault(sample.label, []).append(sample)
     return {label: grouped[label] for label in sorted(grouped, key=lambda l: l.id)}
-
-
-def _assemble_split(
-    samples: Sequence[Sample],
-    parts: dict[str, list[Pair]],
-    origins: dict[str, list[Origin]],
-    view: str,
-) -> DatasetSplit:
-    """The split of ``samples`` whose partitions are ``parts``, with the
-    class roster of all samples and the frame shape they must all share."""
-    if not samples:
-        raise CapacityError("no samples to split")
-    shape = samples[0].frame_shape
-    for sample in samples:
-        if sample.frame_shape != shape:
-            raise DataFormatError(
-                f"sample {sample.label.code}/{sample.sample_id} has frame shape "
-                f"{sample.frame_shape}, expected {shape}"
-            )
-    roster = tuple(group_by_class(samples))
-    meta = SplitMetadata(view=view, frame_shape=shape, classes=roster)
-    return DatasetSplit(
-        **parts,
-        metadata=meta,
-        origins={name: tuple(origins[name]) for name in PARTITIONS},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +354,13 @@ def write_samples(samples: Sequence[Sample], root: str | Path) -> None:
 
 def write_manifest(split: DatasetSplit, path: str | Path) -> None:
     """Write the split as one ``partition\\tclass\\tsample\\tframe`` line per frame."""
-    code_of = {label.id: label.code for label in split.metadata.classes}
-    lines = []
-    for name in PARTITIONS:
-        pairs = split.partition(name)
-        origins = split.origins.get(name, ())
-        if len(origins) != len(pairs):
-            raise DataFormatError(f"partition {name}: origins out of sync with pairs")
-        for (_, label), (sample_id, frame_idx) in zip(pairs, origins):
-            lines.append(f"{name}\t{code_of[label.id]}\t{sample_id}\t{frame_idx:04d}")
+    lines = [
+        f"{name}\t{label.code}\t{sample_id}\t{k:04d}"
+        for name in PARTITIONS
+        for (_, label), (sample_id, k) in zip(
+            split.partition(name), split.origins[name]
+        )
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -383,8 +376,7 @@ def split_from_manifest(
     if not path.is_file():
         raise DataError(f"manifest {path} does not exist")
     by_key = {(s.label.code, s.sample_id): s for s in samples}
-    parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
-    origins: dict[str, list[Origin]] = {name: [] for name in PARTITIONS}
+    rows: dict[str, list[Row]] = {name: [] for name in PARTITIONS}
     first_line: dict[tuple[str, str, int], int] = {}
     data = path.read_bytes()
     try:
@@ -427,24 +419,21 @@ def split_from_manifest(
                 f"{path}:{lineno}: frame {frame_idx} of {code}/{sample_id} "
                 f"already listed at line {seen}"
             )
-        parts[part].append((sample.frames[frame_idx], sample.label))
-        origins[part].append((sample_id, frame_idx))
+        rows[part].append((sample, frame_idx))
     # Sample ids are only unique within a class, so the unseen-overlap
     # check keys on (class, sample).
     used = {
-        (pair[1].code, o[0])
+        (s.label.code, s.sample_id)
         for name in ("train", "validation", "test")
-        for pair, o in zip(parts[name], origins[name])
+        for s, _ in rows[name]
     }
-    held = {
-        (pair[1].code, o[0]) for pair, o in zip(parts["unseen"], origins["unseen"])
-    }
+    held = {(s.label.code, s.sample_id) for s, _ in rows["unseen"]}
     if used & held:
         raise DataFormatError(
             f"{path}: samples {sorted(used & held)} appear both in training "
             "partitions and in unseen"
         )
-    return _assemble_split(samples, parts, origins, view)
+    return DatasetSplit(samples, rows, view)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +471,7 @@ def split_dataset(
     by_class = group_by_class(samples)
     needed = policy.train_samples + policy.unseen_samples
     rng = np.random.default_rng(seed)
-    parts: dict[str, list[Pair]] = {name: [] for name in PARTITIONS}
-    origins: dict[str, list[Origin]] = {name: [] for name in PARTITIONS}
+    rows: dict[str, list[Row]] = {name: [] for name in PARTITIONS}
     for label, group in by_class.items():
         if len(group) < needed:
             raise CapacityError(
@@ -507,17 +495,12 @@ def split_dataset(
             perm = rng.permutation(3)
             cursor = 0
             for which in perm:
-                name = PARTITIONS[which]
-                size = quota[which]
-                for k in range(cursor, cursor + size):
-                    parts[name].append((sample.frames[k], label))
-                    origins[name].append((sample.sample_id, k))
-                cursor += size
+                block = range(cursor, cursor + quota[which])
+                rows[PARTITIONS[which]] += ((sample, k) for k in block)
+                cursor = block.stop
         for sample in holdout:
-            for k in range(policy.frames_per_sample):
-                parts["unseen"].append((sample.frames[k], label))
-                origins["unseen"].append((sample.sample_id, k))
-    return _assemble_split(samples, parts, origins, view)
+            rows["unseen"] += ((sample, k) for k in range(policy.frames_per_sample))
+    return DatasetSplit(samples, rows, view)
 
 
 def partition_arrays(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:

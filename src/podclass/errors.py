@@ -122,4 +122,4 @@ def read_array(
     array = np.frombuffer(data, dtype="<f8").reshape(shape, order=order)
     if not np.isfinite(array).all():
         raise NumericError(f"{stream.name}: non-finite values in {what}")
-    return np.asarray(array, dtype=np.float64, order="C").copy()
+    return np.array(array, dtype=np.float64, order="C")

@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,14 +125,15 @@ def test_project_writes_project_pairs_output(data_dir, tmp_path):
     assert np.array_equal(written, expected)
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "inside"])
 def test_project_onto_its_own_data_exit_2(data_dir, tmp_path, capsys, spelling):
-    # it used to replace the raw frames with their projections and exit 0
+    # it used to replace the raw frames with their projections, or add a
+    # class directory of them, and exit 0
     root = tmp_path / "data"
     shutil.copytree(data_dir, root)
     before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-    out = root if spelling == "same" else root / "C0" / ".."
-    args = ["project", "--data", str(root), "--rank", "1", "--out", str(out)]
+    out = {"same": root, "dotted": root / "C0" / "..", "inside": root / "proj"}
+    args = ["project", "--data", str(root), "--rank", "1", "--out", str(out[spelling])]
     assert main(args) == 2
     assert "is the --data directory" in capsys.readouterr().err
     after = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -353,8 +355,14 @@ def test_ingest_check_mixed_frame_shapes_exit_3(data_dir, tmp_path, capsys):
             "5 classes x rank 13 patterns need disjoint supports but only 64 pixels",
         ),
         ("classes=3\nclasses=2\n", ":2: key 'classes' already set at line 1"),
+        ("classes=1_0\n", ":1: bad value for classes"),
+        ("classes=3\nframes=\u0661\u0662\n", ":2: bad value for frames"),
+        ("noise=0_1\n", ":1: bad value for noise"),
     ],
-    ids=["nan", "inf", "capacity", "duplicate-key"],
+    ids=[
+        "nan", "inf", "capacity", "duplicate-key",
+        "underscore", "non-ascii", "noise-underscore",
+    ],
 )
 def test_synth_bad_spec_exit_2(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.txt"
@@ -362,6 +370,20 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, text, message):
     out = tmp_path / "data"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["typo.tsv", ""], ids=["typo", "empty"])
+@pytest.mark.parametrize("command", ["ingest-check", "build-basis"])
+def test_missing_named_manifest_exit_3(data_dir, tmp_path, capsys, command, name):
+    # it used to fall back to a seeded split and exit 0
+    missing = str(tmp_path / name) if name else name
+    out = tmp_path / "lib.bin"
+    args = [command, "--data", str(data_dir), "--manifest", missing]
+    assert main(args + (["--out", str(out)] if command == "build-basis" else [])) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: manifest {Path(missing)} does not exist\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from podclass.dataset import (
     ClassLabel,
     DatasetSplit,
     Sample,
-    SplitMetadata,
     SplitPolicy,
     SyntheticSpec,
     _deal_quotas,
@@ -280,15 +281,32 @@ def test_manifest_rejects_unknown_sample(tmp_path):
 
 
 def test_split_refuses_a_class_without_train_frames():
-    a, b = ClassLabel(0, "A"), ClassLabel(1, "B")
     frame = np.zeros((2, 2))
-    meta = SplitMetadata("view", (2, 2), (a, b))
+    a = Sample(ClassLabel(0, "A"), "s00", [frame, frame])
+    b = Sample(ClassLabel(1, "B"), "s00", [frame])
+
+    def split(train, validation, test=()):
+        rows = {"train": train, "validation": validation, "test": test, "unseen": ()}
+        return DatasetSplit([a, b], rows, "view")
+
     with pytest.raises(DataError, match=r"^class B is in validation but not in train$"):
-        DatasetSplit([(frame, a)], [(frame, b)], [], [], meta)
+        split([(a, 0)], [(b, 0)])
     # a class in no partition at all, and a split with no train frames
     # (which nothing can fit or train on), are left alone
-    DatasetSplit([(frame, a)], [(frame, a)], [], [], meta)
-    DatasetSplit([], [(frame, a)], [(frame, b)], [], meta)
+    split([(a, 0)], [(a, 1)])
+    split([], [(a, 0)], [(b, 0)])
+
+
+def test_split_keeps_only_the_frames_its_rows_name():
+    # the split keeps no Sample, so a sample's unused frames go with it
+    samples = make_samples(n_classes=1, n_samples=1, n_frames=3)
+    rows = {"train": [(samples[0], 0)], "validation": [], "test": [], "unseen": []}
+    split = DatasetSplit(samples, rows)
+    used, unused = (weakref.ref(frame) for frame in samples[0].frames[:2])
+    del samples, rows
+    gc.collect()
+    assert used() is split.train[0][0]
+    assert unused() is None
 
 
 def _split_by_policy(samples, tmp_path):

@@ -1,0 +1,96 @@
+"""Snapshot what the podclass CLI prints and writes, to diff two checkouts.
+
+    python3 tools/cli_snapshot.py CHECKOUT OUTDIR
+
+Runs ``python -m podclass`` from ``CHECKOUT/src`` over a fixed list of
+commands, one BLAS thread, working directory ``OUTDIR`` (which must not
+exist yet). Every file a command writes lands under ``OUTDIR``, and
+``OUTDIR/logs/NN-name.{stdout,stderr,exit}`` hold its output and exit code.
+Paths are relative, so two snapshots compare with ``diff -r``:
+
+    python3 tools/cli_snapshot.py old-checkout snap-old
+    python3 tools/cli_snapshot.py .            snap-new
+    diff -r snap-old snap-new
+
+The last commands are refusals; a change to what a refusal prints or
+whether it writes shows up there. This script imports nothing from the
+checkout itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SMALL_SPEC = "classes=3\nframes=36\nside=16\nrank=3\nnoise=0.1\nseed=9\n"
+BAD_SPEC = "classes=1_0\n"
+NET = ["--epochs", "2", "--arch", "4,4,4,8"]
+DATA = ["--data", "data"]
+
+# (name, podclass arguments); they run in order, later ones read earlier output
+COMMANDS = [
+    ("synth-small", ["synth", "--spec", "small.spec", "--out", "data"]),
+    ("synth-defaults", ["synth", "--seed", "4", "--out", "defaults"]),
+    ("ingest-check", ["ingest-check", *DATA]),
+    ("spectrum", ["spectrum", *DATA, "--out", "spectrum"]),
+    ("build-basis-hard", ["build-basis", *DATA, "--out", "lib-hard.bin"]),
+    (
+        "build-basis-rank2",
+        ["build-basis", *DATA, "--rank", "2", "--out", "lib-rank2.bin"],
+    ),
+    ("project", ["project", *DATA, "--rank", "2", "--out", "projected"]),
+    ("evaluate", ["evaluate", *DATA, "--out", "evaluate.json"]),
+    (
+        "evaluate-library",
+        ["evaluate", *DATA, "--library", "lib-hard.bin", "--out", "evaluate-lib.json"],
+    ),
+    ("train", ["train", *DATA, *NET, "--out", "model"]),
+    (
+        "experiment",
+        ["experiment", *DATA, "--rank", "2", "--gavish", "--runs", "2",
+         "--out", "experiment.json"],
+    ),
+    # refusals: each must exit nonzero and leave the tree as it was
+    ("refuse-missing-manifest", ["ingest-check", *DATA, "--manifest", "typo.tsv"]),
+    (
+        "refuse-project-inside-data",
+        ["project", *DATA, "--rank", "1", "--out", "data/proj"],
+    ),
+    ("refuse-bad-spec", ["synth", "--spec", "bad.spec", "--out", "bad-spec-data"]),
+    ("ingest-check-after", ["ingest-check", *DATA]),
+]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path, help="tree whose src/ to run")
+    parser.add_argument("outdir", type=Path, help="snapshot directory to create")
+    args = parser.parse_args()
+    src = (args.checkout / "src").resolve()
+    if not (src / "podclass").is_dir():
+        parser.error(f"{src} has no podclass package")
+    out = args.outdir
+    (out / "logs").mkdir(parents=True, exist_ok=False)
+    (out / "small.spec").write_text(SMALL_SPEC, encoding="utf-8")
+    (out / "bad.spec").write_text(BAD_SPEC, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    for number, (name, argv) in enumerate(COMMANDS, 1):
+        done = subprocess.run(
+            [sys.executable, "-m", "podclass", *argv],
+            cwd=out,
+            env=env,
+            capture_output=True,
+        )
+        log = out / "logs" / f"{number:02d}-{name}"
+        log.with_suffix(".stdout").write_bytes(done.stdout)
+        log.with_suffix(".stderr").write_bytes(done.stderr)
+        log.with_suffix(".exit").write_text(f"{done.returncode}\n", encoding="utf-8")
+        print(f"{number:02d} {name}: exit {done.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
