@@ -87,6 +87,8 @@ class BasisLibrary:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not self.bases:
+            raise ConfigError("library holds no classes")
         ids = [b.label.id for b in self.bases]
         if ids != sorted(set(ids)):
             raise ConfigError("library bases must be unique and sorted by class id")
@@ -275,8 +277,6 @@ def load_library(path: str | Path) -> BasisLibrary:
     path = Path(path)
     with read_container(path, LIBRARY_MAGIC, "bases") as stream:
         (count,) = read_fields(stream, "I", "class count")
-        if count == 0:
-            raise DataFormatError(f"{path}: library holds no classes")
         h, w = read_fields(stream, "QQ", "frame shape")
         (blob_len,) = read_fields(stream, "Q", "provenance size")
         blob = read_utf8(stream, blob_len, "provenance")

@@ -373,12 +373,13 @@ def split_from_manifest(
     and no sample may feed both ``unseen`` and a training partition.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"manifest {path} does not exist")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror}") from exc
     by_key = {(s.label.code, s.sample_id): s for s in samples}
     rows: dict[str, list[Row]] = {name: [] for name in PARTITIONS}
     first_line: dict[tuple[str, str, int], int] = {}
-    data = path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

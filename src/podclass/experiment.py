@@ -1,11 +1,11 @@
 """The full comparison protocol: preprocessing arms, baselines, repeats.
 
-One experiment takes a partitioned dataset and runs a set of arms: the
-raw images, plus one arm per truncation rule in which every frame is
-replaced by its projection onto its own class's subspace (built from the
-train partition only; each class is fitted once and truncated per arm).
-Each arm gets a deterministic nearest-subspace baseline on the
-unprojected images, the warnings of the library behind it, and ``runs``
+One experiment takes a partitioned dataset and runs its arm list, which
+lives here: the raw images, then one arm per truncation rule in which
+every frame is replaced by its projection onto its own class's subspace
+(built from the train partition only; each class is fitted once). Each
+arm gets a deterministic nearest-subspace baseline on the unprojected
+images, a header read off its library's provenance, and ``runs``
 independent network trainings whose seeds are base seed + run index;
 accuracies are aggregated as mean and sample deviation per partition.
 The trainings of all arms run in forked worker processes, one per
@@ -60,17 +60,33 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigError("need at least one run")
-        names = [rule.arm_name for rule in self.rules]
+        names = [name for name, _, _ in self.arms]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate truncation arms: {names}")
         self.train_config(self.seed)  # refuses bad training knobs now
         convnet.check_widths(self.channels, self.hidden)
+
+    @property
+    def arms(self) -> list[tuple[str, TruncationRule, bool]]:
+        """(name, rule of the library behind it, projected) per arm: raw,
+        whose baseline borrows the hard-threshold library, then one per rule."""
+        return [("raw", TruncationRule(), False)] + [
+            (_arm_name(rule), rule, True) for rule in self.rules
+        ]
 
     def train_config(self, seed: int) -> convnet.TrainConfig:
         """The training knobs, with ``seed`` for the epoch shuffles."""
         return convnet.TrainConfig(
             self.epochs, self.batch_size, self.learning_rate, seed
         )
+
+
+def _arm_name(rule: TruncationRule) -> str:
+    if rule.rank is not None:
+        return f"projected-r{rule.rank}"
+    if rule.tolerance is not None:
+        return f"projected-tol{rule.tolerance:g}"
+    return "projected-auto"
 
 
 def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
@@ -247,46 +263,32 @@ def _network_runs(
 
 
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
-    """Execute every arm and assemble the deterministic report."""
-    raw_parts = {n: pairs for n in PARTITIONS if (pairs := split.partition(n))}
-
-    arms: dict[str, dict] = {}
-    arm_data: dict[str, dict] = {}
-
-    # Raw arm: unprocessed images. Its baseline still needs subspaces, so
-    # it borrows the hard-threshold library; the network sees raw pixels.
-    # A projected arm under that same rule shares library and baseline.
-    # The untruncated fits are freed before the arms' data is built.
-    hard = TruncationRule()
+    """Execute every arm and assemble the deterministic report. Each class
+    is fitted once, each distinct rule gives one library and one baseline,
+    and the fits are freed before any arm's data is built."""
     fits = fit_classes(split.train)
     libraries = {
         rule: library_from_fits(
             fits, split.metadata.frame_shape, rule, "train partition"
         )
-        for rule in dict.fromkeys((hard,) + config.rules)
+        for rule in dict.fromkeys(rule for _, rule, _ in config.arms)
     }
     del fits
     baselines = {rule: baseline_report(lib, split) for rule, lib in libraries.items()}
-    raw_library = libraries[hard]
-    arm_data["raw"] = {n: partition_arrays(pairs) for n, pairs in raw_parts.items()}
-    arms["raw"] = {
-        "kind": "raw",
-        "baseline_rank_rule": hard.describe(),
-        "baseline_ranks": {b.label.code: b.rank for b in raw_library.bases},
-        "baseline": baselines[hard],
-        "warnings": raw_library.provenance["warnings"],
-    }
-
-    for rule in config.rules:
+    parts = {n: pairs for n in PARTITIONS if (pairs := split.partition(n))}
+    arms: dict[str, dict] = {}
+    arm_data: dict[str, dict] = {}
+    for name, rule, projected in config.arms:
         library = libraries[rule]
-        arm_data[rule.arm_name] = {
-            name: partition_arrays(project_pairs(library, pairs))
-            for name, pairs in raw_parts.items()
+        arm_data[name] = {
+            n: partition_arrays(project_pairs(library, pairs) if projected else pairs)
+            for n, pairs in parts.items()
         }
-        arms[rule.arm_name] = {
-            "kind": "projected",
-            "rank_rule": rule.describe(),
-            "ranks": {b.label.code: b.rank for b in library.bases},
+        prefix = "" if projected else "baseline_"  # raw ranks only its baseline
+        arms[name] = {
+            "kind": "projected" if projected else "raw",
+            f"{prefix}rank_rule": library.provenance["rank_rule"],
+            f"{prefix}ranks": library.provenance["ranks"],
             "baseline": baselines[rule],
             "warnings": library.provenance["warnings"],
         }

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import BasisLibrary
 from .dataset import Pair, partition_arrays
-from .errors import CapacityError, DataFormatError
+from .errors import DataFormatError
 
 
 def residual_matrix(library: BasisLibrary, images: np.ndarray) -> np.ndarray:
@@ -39,8 +39,6 @@ def residual_matrix(library: BasisLibrary, images: np.ndarray) -> np.ndarray:
 
 def classify(library: BasisLibrary, images: np.ndarray) -> np.ndarray:
     """Predicted class id per image; ties resolve to the lowest class id."""
-    if library.class_count == 0:
-        raise CapacityError("empty basis library")
     residuals = residual_matrix(library, images)
     ids = np.array([b.label.id for b in library.bases])
     return ids[np.argmin(residuals, axis=1)]

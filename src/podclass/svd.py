@@ -176,14 +176,6 @@ class TruncationRule:
                 f"energy tolerance must be in [0, 1), got {self.tolerance}"
             )
 
-    @property
-    def arm_name(self) -> str:
-        if self.rank is not None:
-            return f"projected-r{self.rank}"
-        if self.tolerance is not None:
-            return f"projected-tol{self.tolerance:g}"
-        return "projected-auto"
-
     def describe(self) -> dict:
         if self.rank is not None:
             return {"kind": "fixed", "rank": self.rank}

@@ -373,16 +373,26 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["typo.tsv", ""], ids=["typo", "empty"])
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("typo.tsv", "No such file or directory"),
+        ("", "Is a directory"),  # Path("") is "."
+        (".", "Is a directory"),  # tmp_path itself
+    ],
+    ids=["typo", "empty", "directory"],
+)
 @pytest.mark.parametrize("command", ["ingest-check", "build-basis"])
-def test_missing_named_manifest_exit_3(data_dir, tmp_path, capsys, command, name):
-    # it used to fall back to a seeded split and exit 0
+def test_missing_named_manifest_exit_3(
+    data_dir, tmp_path, capsys, command, name, reason
+):
+    # a missing file used to fall back to a seeded split and exit 0
     missing = str(tmp_path / name) if name else name
     out = tmp_path / "lib.bin"
     args = [command, "--data", str(data_dir), "--manifest", missing]
     assert main(args + (["--out", str(out)] if command == "build-basis" else [])) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"error: manifest {Path(missing)} does not exist\n"
+    assert captured.err == f"error: cannot read manifest {Path(missing)}: {reason}\n"
     assert captured.out == ""
     assert not out.exists()
 

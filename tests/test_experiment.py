@@ -50,9 +50,12 @@ def small_report(tiny_split, small_config):
 
 
 def test_rule_naming():
-    assert TruncationRule(rank=7).arm_name == "projected-r7"
-    assert TruncationRule(tolerance=0.05).arm_name == "projected-tol0.05"
-    assert TruncationRule().arm_name == "projected-auto"
+    def name(rule):
+        return ExperimentConfig(rules=(rule,)).arms[1][0]
+
+    assert name(TruncationRule(rank=7)) == "projected-r7"
+    assert name(TruncationRule(tolerance=0.05)) == "projected-tol0.05"
+    assert name(TruncationRule()) == "projected-auto"
     with pytest.raises(ConfigError):
         TruncationRule(rank=2, tolerance=0.1)
 
@@ -168,6 +171,29 @@ def test_each_class_is_fitted_once_per_experiment(tiny_split, monkeypatch):
     run_experiment(tiny_split, _hard_and_fixed_config(rank=2))
     frames = len(tiny_split.train) // len(tiny_split.metadata.classes)
     assert shapes == [(16 * 16, frames)] * len(tiny_split.metadata.classes)
+
+
+def test_arm_headers_come_from_library_provenance(tiny_split):
+    rules = (TruncationRule(), TruncationRule(rank=2), TruncationRule(tolerance=0.2))
+    config = replace(_hard_and_fixed_config(rank=2), rules=rules)
+    report = run_experiment(tiny_split, config)
+    names = ["raw", "projected-auto", "projected-r2", "projected-tol0.2"]
+    assert report["protocol"]["arm_order"] == names
+    arms = report["arms"]
+    raw_keys = {"kind", "baseline_rank_rule", "baseline_ranks", "baseline"}
+    assert set(arms["raw"]) == raw_keys | {"warnings", "network"}
+    shape = tiny_split.metadata.frame_shape
+    fits = basis.fit_classes(tiny_split.train)
+    for name, rule in zip(names[1:], rules):
+        provenance = basis.library_from_fits(fits, shape, rule).provenance
+        assert set(arms[name]) == {
+            "kind", "rank_rule", "ranks", "baseline", "warnings", "network"
+        }
+        assert arms[name]["kind"] == "projected"
+        for key in ("rank_rule", "ranks", "warnings"):
+            assert arms[name][key] == provenance[key]
+    for key in ("rank_rule", "ranks"):
+        assert arms["raw"]["baseline_" + key] == arms["projected-auto"][key]
 
 
 def test_one_library_and_baseline_per_distinct_rule(tiny_split, monkeypatch):

@@ -50,11 +50,12 @@ COMMANDS = [
     ("train", ["train", *DATA, *NET, "--out", "model"]),
     (
         "experiment",
-        ["experiment", *DATA, "--rank", "2", "--gavish", "--runs", "2",
-         "--out", "experiment.json"],
+        ["experiment", *DATA, "--rank", "2", "--tolerance", "0.2", "--gavish",
+         "--runs", "2", "--out", "experiment.json"],
     ),
     # refusals: each must exit nonzero and leave the tree as it was
     ("refuse-missing-manifest", ["ingest-check", *DATA, "--manifest", "typo.tsv"]),
+    ("refuse-directory-manifest", ["ingest-check", *DATA, "--manifest", "data"]),
     (
         "refuse-project-inside-data",
         ["project", *DATA, "--rank", "1", "--out", "data/proj"],
