@@ -66,12 +66,6 @@ class ClassBasis:
         fitted = self.modes @ (self.modes.T @ centered)
         return fitted + (self.mean[:, None] if vectors.ndim == 2 else self.mean)
 
-    def residuals(self, vectors: np.ndarray) -> np.ndarray:
-        """Distance of each column (or of a single vector) to the subspace."""
-        centered = self.center(vectors)
-        off = centered - self.modes @ (self.modes.T @ centered)
-        return np.linalg.norm(off, axis=0 if off.ndim == 2 else None)
-
 
 @dataclass
 class BasisLibrary:
@@ -103,6 +97,14 @@ class BasisLibrary:
     @property
     def class_count(self) -> int:
         return len(self.bases)
+
+    def check_frame_shape(self, shape: tuple[int, ...]) -> None:
+        """Refuse frames of any shape but the library's (H, W)."""
+        if shape != self.frame_shape:
+            raise DataFormatError(
+                f"frame shape {shape} does not match library frame "
+                f"shape {self.frame_shape}"
+            )
 
     def basis_for(self, class_id: int) -> ClassBasis:
         for b in self.bases:
@@ -217,11 +219,11 @@ def project_pairs(library: BasisLibrary, pairs: Sequence[Pair]) -> list[Pair]:
     training data but leaks labels when applied to evaluation partitions;
     callers reporting results on projected evaluation data must say so.
     """
-    h, w = library.frame_shape
     out: list[Pair] = []
     for image, label in pairs:
+        library.check_frame_shape(image.shape)
         basis = library.basis_for(label.id)
-        projected = basis.project(image.reshape(-1)).reshape(h, w)
+        projected = basis.project(image.reshape(-1)).reshape(image.shape)
         out.append((projected, label))
     return out
 

@@ -333,7 +333,7 @@ def load_dataset(root: str | Path) -> list[Sample]:
                         )
             if not by_index:
                 raise DataError(f"sample directory {sample_dir} has no .pgm frames")
-            paths = (sample_dir / by_index[k] for k in sorted(by_index))
+            paths = (os.path.join(sample_dir, by_index[k]) for k in sorted(by_index))
             frames = [to_unit(read_pgm(path)) for path in paths]
             samples.append(Sample(label, sample_dir.name, frames))
     return samples

@@ -37,9 +37,9 @@ def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary (P5) PGM file into a uint8 array of shape (height, width).
 
     The maxval must be 255, and nothing may follow the raster."""
-    path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as stream:
+            data = stream.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
@@ -80,7 +80,7 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
 
 def to_unit(gray: np.ndarray) -> np.ndarray:
     """Rescale stored 8-bit intensities to float64 in [0, 1] (divide by 255)."""
-    return np.asarray(gray, dtype=np.float64) / 255.0
+    return np.divide(gray, 255.0, dtype=np.float64)
 
 
 def from_unit(image: np.ndarray) -> np.ndarray:

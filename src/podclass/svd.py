@@ -41,9 +41,17 @@ class ThinSVD:
 
 def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
     """Flip column pairs so each mode's largest-magnitude entry is
-    nonnegative (first index wins ties); in place."""
-    lead = np.argmax(np.abs(modes), axis=0)
-    signs = np.where(modes[lead, np.arange(modes.shape[1])] < 0, -1.0, 1.0)
+    nonnegative (first index wins ties); in place.
+
+    The column max and min decide the sign without a |U| copy; only a
+    column whose max equals -min looks up its first largest entry."""
+    top = modes.max(axis=0)
+    bottom = modes.min(axis=0)
+    negative = -bottom > top
+    for column in np.flatnonzero(top == -bottom):
+        lead = np.argmax(np.abs(modes[:, column]))
+        negative[column] = modes[lead, column] < 0
+    signs = np.where(negative, -1.0, 1.0)
     modes *= signs  # exact: a product with +-1 only sets the sign bit
     coeffs *= signs
 

@@ -20,6 +20,7 @@ from podclass.basis import (
 )
 from podclass.dataset import ClassLabel
 from podclass.errors import ConfigError, DataFormatError
+from podclass.subspace import residual_matrix
 from podclass.svd import TruncationRule, hard_threshold, thin_svd
 
 from oracles import principal_angle_cosines
@@ -84,9 +85,10 @@ def test_projection_of_span_member_is_identity(rng):
 def test_residual_is_distance_to_projection(rng):
     frames = make_class_frames(rng)
     basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=3))
+    library = BasisLibrary((8, 8), (basis,))
     x = rng.uniform(0, 1, size=basis.mean.size)
     expected = np.linalg.norm(x - basis.project(x))
-    assert abs(basis.residuals(x) - expected) <= 1e-12
+    assert abs(residual_matrix(library, x.reshape(1, 8, 8))[0, 0] - expected) <= 1e-12
 
 
 def test_projection_may_leave_unit_range():

@@ -26,9 +26,12 @@ import sys
 from pathlib import Path
 
 SMALL_SPEC = "classes=3\nframes=36\nside=16\nrank=3\nnoise=0.1\nseed=9\n"
+# 64x64 frames reach the large-matrix GEMM kernels that 16x16 ones do not
+WIDE_SPEC = "classes=3\nframes=150\nside=64\nrank=4\nnoise=0.1\nseed=9\n"
 BAD_SPEC = "classes=1_0\n"
 NET = ["--epochs", "2", "--arch", "4,4,4,8"]
 DATA = ["--data", "data"]
+WIDE = ["--data", "wide"]
 
 # (name, podclass arguments); they run in order, later ones read earlier output
 COMMANDS = [
@@ -53,6 +56,16 @@ COMMANDS = [
         ["experiment", *DATA, "--rank", "2", "--tolerance", "0.2", "--gavish",
          "--runs", "2", "--out", "experiment.json"],
     ),
+    ("synth-wide", ["synth", "--spec", "wide.spec", "--out", "wide"]),
+    (
+        "build-basis-wide",
+        ["build-basis", *WIDE, "--rank", "4", "--out", "lib-wide.bin"],
+    ),
+    (
+        "evaluate-library-wide",
+        ["evaluate", *WIDE, "--library", "lib-wide.bin", "--out", "evaluate-wide.json"],
+    ),
+    ("project-wide", ["project", *WIDE, "--rank", "4", "--out", "projected-wide"]),
     # refusals: each must exit nonzero and leave the tree as it was
     ("refuse-missing-manifest", ["ingest-check", *DATA, "--manifest", "typo.tsv"]),
     ("refuse-directory-manifest", ["ingest-check", *DATA, "--manifest", "data"]),
@@ -76,6 +89,7 @@ def main() -> int:
     out = args.outdir
     (out / "logs").mkdir(parents=True, exist_ok=False)
     (out / "small.spec").write_text(SMALL_SPEC, encoding="utf-8")
+    (out / "wide.spec").write_text(WIDE_SPEC, encoding="utf-8")
     (out / "bad.spec").write_text(BAD_SPEC, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     for number, (name, argv) in enumerate(COMMANDS, 1):
