@@ -126,16 +126,17 @@ def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
     return library
 
 
-def _load_split(args) -> tuple[list[Sample], DatasetSplit, Path | None]:
-    """Samples, split, and the manifest read (None: split drawn by seed)."""
+def _load_split(args) -> tuple[list[Sample], DatasetSplit]:
+    """Samples and their split: the manifest's, or one drawn by ``--seed``. A
+    caller that needs only the split keeps ``[1]``: unsplit frames are freed."""
     samples = load_dataset(args.data)
     named = args.manifest is not None  # a named manifest must exist
     manifest = Path(args.manifest) if named else Path(args.data) / MANIFEST_NAME
     view = Path(args.data).name
     if named or manifest.is_file():
-        return samples, split_from_manifest(samples, manifest, view=view), manifest
+        return samples, split_from_manifest(samples, manifest, view=view)
     policy = SplitPolicy.for_samples(samples)
-    return samples, split_dataset(samples, policy, seed=args.seed, view=view), None
+    return samples, split_dataset(samples, policy, seed=args.seed, view=view)
 
 
 def _add_data_options(sub: argparse.ArgumentParser) -> None:
@@ -202,7 +203,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    samples, split, _ = _load_split(args)
+    samples, split = _load_split(args)
     by_class = group_by_class(samples)
     shape = split.metadata.frame_shape
     print(f"classes: {len(by_class)}")
@@ -217,7 +218,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_build_basis(args) -> int:
     rule = _rule(args)
-    _, split, _ = _load_split(args)
+    split = _load_split(args)[1]
     library = _train_library(split, rule)
     save_library(library, args.out)
     for basis in library.bases:
@@ -229,7 +230,7 @@ def cmd_build_basis(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, split, _ = _load_split(args)
+    split = _load_split(args)[1]
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,13 +260,12 @@ def cmd_project(args) -> int:
     if target == data or data in target.parents:
         raise ConfigError(f"--out {args.out} is the --data directory or inside it")
     rule = _rule(args)
-    samples, split, manifest = _load_split(args)
+    samples, split = _load_split(args)
     library = _train_library(split, rule)
     for s in samples:  # one sample's projections in memory at a time
         pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
         write_samples([Sample(s.label, s.sample_id, [im for im, _ in pairs])], out)
-    if manifest is not None:
-        (out / MANIFEST_NAME).write_bytes(manifest.read_bytes())
+    write_manifest(split, out / MANIFEST_NAME)  # the split the bases were fitted on
     ranks = " ".join(f"{b.label.code}={b.rank}" for b in library.bases)
     print(f"projected dataset written to {out} (ranks: {ranks})")
     return 0
@@ -273,7 +273,7 @@ def cmd_project(args) -> int:
 
 def cmd_train(args) -> int:
     config = _network_config(args)
-    _, split, _ = _load_split(args)
+    split = _load_split(args)[1]
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
     result, scores = train_and_score(
         split.metadata, data, config, args.seed, validate_every_epoch=True
@@ -297,7 +297,7 @@ def cmd_evaluate(args) -> int:
     if args.library and (args.rank or args.tolerance or args.gavish):
         raise ConfigError("--library takes no --rank, --tolerance or --gavish")
     rule = None if args.library else _rule(args)
-    _, split, _ = _load_split(args)
+    split = _load_split(args)[1]
     if rule is None:
         library = _saved_library(args.library, split)
     else:
@@ -313,7 +313,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _network_config(args, rules=_rules(args), runs=args.runs)
-    _, split, _ = _load_split(args)
+    split = _load_split(args)[1]
     report = run_experiment(split, config)
     for row in report["summary"]:
         print(row)

@@ -467,11 +467,13 @@ def evaluate_network(
     """(mean loss, accuracy) over a labeled set, computed in batches."""
     labels = np.asarray(labels)
     n = labels.size
+    if len(images) != n:
+        raise ConfigError(f"{len(images)} images but {n} labels")
     if n == 0:
         raise ConfigError("cannot evaluate on an empty set")
     total_loss = 0.0
     correct = 0
-    for start, logits in _inference_logits(params, images[:n]):
+    for start, logits in _inference_logits(params, images):
         batch = labels[start : start + INFERENCE_BATCH]
         total_loss += cross_entropy(softmax(logits), batch) * batch.size
         correct += int((logits.argmax(axis=1) == batch).sum())
@@ -502,6 +504,8 @@ def train(
     train_images = np.asarray(train_images, dtype=np.float64)
     train_labels = np.asarray(train_labels)
     n = train_labels.size
+    if len(train_images) != n:
+        raise ConfigError(f"{len(train_images)} images but {n} labels")
     if n == 0:
         raise ConfigError("cannot train on an empty set")
     if train_labels.min() < 0 or train_labels.max() >= arch.classes:

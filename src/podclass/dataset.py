@@ -94,9 +94,10 @@ class DatasetSplit:
     holds the class roster of all samples and the frame shape they must
     all share.
 
-    Every class in another partition must have train frames, since its
-    basis and the network learn it from those alone. A split with no train
-    frames at all is left to whatever needs them to refuse.
+    No sample may feed both ``unseen`` and a training partition. Every class
+    in another partition must have train frames, since its basis and the
+    network learn it from those alone. A split with no train frames at all
+    is left to whatever needs them to refuse.
     """
 
     def __init__(
@@ -104,6 +105,14 @@ class DatasetSplit:
     ) -> None:
         if not samples:
             raise CapacityError("no samples to split")
+        # Sample ids are unique only within a class: key on (class, sample id).
+        keys = {n: {(s.label, s.sample_id) for s, _ in rows[n]} for n in PARTITIONS}
+        both = keys["unseen"] & set().union(*(keys[n] for n in PARTITIONS[:3]))
+        if both:
+            names = sorted((label.code, sample_id) for label, sample_id in both)
+            raise DataFormatError(
+                f"samples {names} appear both in training partitions and in unseen"
+            )
         shape = samples[0].frame_shape
         for sample in samples:
             if sample.frame_shape != shape:
@@ -122,7 +131,7 @@ class DatasetSplit:
         }
         if not self.train:
             return
-        present = {n: {label for _, label in getattr(self, n)} for n in PARTITIONS}
+        present = {n: {label for label, _ in keys[n]} for n in PARTITIONS}
         for label in self.metadata.classes:
             held = ", ".join(n for n in PARTITIONS if label in present[n])
             if held and label not in present["train"]:
@@ -369,8 +378,7 @@ def split_from_manifest(
 ) -> DatasetSplit:
     """Rebuild a split from a manifest file, in manifest line order.
 
-    Each ``(class, sample, frame)`` may appear once in the whole manifest,
-    and no sample may feed both ``unseen`` and a training partition.
+    Each ``(class, sample, frame)`` may appear once in the whole manifest.
     """
     path = Path(path)
     try:
@@ -421,19 +429,6 @@ def split_from_manifest(
                 f"already listed at line {seen}"
             )
         rows[part].append((sample, frame_idx))
-    # Sample ids are only unique within a class, so the unseen-overlap
-    # check keys on (class, sample).
-    used = {
-        (s.label.code, s.sample_id)
-        for name in ("train", "validation", "test")
-        for s, _ in rows[name]
-    }
-    held = {(s.label.code, s.sample_id) for s, _ in rows["unseen"]}
-    if used & held:
-        raise DataFormatError(
-            f"{path}: samples {sorted(used & held)} appear both in training "
-            "partitions and in unseen"
-        )
     return DatasetSplit(samples, rows, view)
 
 

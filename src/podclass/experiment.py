@@ -166,10 +166,11 @@ def _train_and_score(
 def _worker_count(jobs: int) -> int:
     """One training process per available core, at most one per job; 1
     (train in this process) where fork or the BLAS thread setter is
-    missing."""
+    missing. Without ``os.sched_getaffinity`` (macOS) every core counts."""
     if not hasattr(os, "fork") or _openblas_threads() is None:
         return 1
-    return min(jobs, len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _mallopt():

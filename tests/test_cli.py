@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from podclass import basis, convnet
-from podclass.cli import main
+from podclass.cli import _load_split, build_parser, main
 from podclass.convnet import load_checkpoint
-from podclass.dataset import load_dataset, split_from_manifest
+from podclass.dataset import (
+    SplitPolicy,
+    load_dataset,
+    split_dataset,
+    split_from_manifest,
+    write_manifest,
+)
 from podclass.basis import LIBRARY_MAGIC, build_library, load_library, project_pairs
 from podclass.errors import FORMAT_VERSION
 from podclass.pgm import read_pgm, write_pgm
@@ -123,6 +129,38 @@ def test_project_writes_project_pairs_output(data_dir, tmp_path):
     expected = np.rint(np.clip(projected, 0.0, 1.0) * 255.0).astype(np.uint8)
     written = read_pgm(out / sample.label.code / sample.sample_id / "0001.pgm")
     assert np.array_equal(written, expected)
+
+
+def test_project_writes_the_split_its_bases_were_fitted_on(data_dir, tmp_path):
+    # from a tree without a manifest it used to write none, and a later
+    # seed-0 split of the projected tree dealt frames the bases were fitted
+    # on into validation, test and unseen
+    bare = _tree_copy(data_dir, tmp_path / "bare")
+    out = tmp_path / "proj"
+    args = ["--data", str(bare), "--seed", "3", "--rank", "2", "--out", str(out)]
+    assert main(["project", *args]) == 0
+    samples = load_dataset(bare)
+    split = split_dataset(samples, SplitPolicy.for_samples(samples), seed=3)
+    write_manifest(split, tmp_path / "seed3.tsv")
+    assert (out / "manifest.tsv").read_bytes() == (tmp_path / "seed3.tsv").read_bytes()
+    for later in (["ingest-check"], ["train", "--out", "model"]):
+        later = build_parser().parse_args([*later, "--data", str(out)])
+        assert later.seed == 0
+        assert _load_split(later)[1].origins == split.origins
+
+
+@pytest.mark.parametrize("source", ["no-manifest", "crlf-manifest"])
+def test_project_of_a_synth_tree_writes_its_manifest_bytes(data_dir, tmp_path, source):
+    # a synth tree's split is its spec seed's (9); a hand-written manifest
+    # comes out in canonical form
+    bare = _tree_copy(data_dir, tmp_path / "bare")
+    canonical = (data_dir / "manifest.tsv").read_bytes()
+    args = ["--data", str(bare), "--seed", "9", "--rank", "2"]
+    if source == "crlf-manifest":
+        (tmp_path / "crlf.tsv").write_bytes(canonical.replace(b"\n", b"\r\n"))
+        args += ["--seed", "0", "--manifest", str(tmp_path / "crlf.tsv")]
+    assert main(["project", *args, "--out", str(tmp_path / "proj")]) == 0
+    assert (tmp_path / "proj" / "manifest.tsv").read_bytes() == canonical
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "inside"])
@@ -331,6 +369,18 @@ def test_malformed_manifest_exit_3(data_dir, tmp_path, capsys, edit):
         n for n, (new, old) in enumerate(zip(edited, lines + [None]), 1) if new != old
     )
     assert capsys.readouterr().err.startswith(f"error: {manifest}:{lineno}: ")
+
+
+def test_manifest_with_a_sample_in_unseen_and_train_exit_3(data_dir, tmp_path, capsys):
+    manifest = tmp_path / "overlap.tsv"
+    manifest.write_text("train\tC0\ts00\t0000\nunseen\tC0\ts00\t0001\n")
+    args = ["ingest-check", "--data", str(data_dir), "--manifest", str(manifest)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: samples [('C0', 's00')] appear both in training partitions "
+        "and in unseen\n"
+    )
 
 
 def test_ingest_check_mixed_frame_shapes_exit_3(data_dir, tmp_path, capsys):

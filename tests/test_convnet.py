@@ -16,6 +16,7 @@ from podclass.convnet import (
     conv3x3_backward,
     conv3x3_forward,
     cross_entropy,
+    evaluate_network,
     initialize,
     load_checkpoint,
     loss_and_gradients,
@@ -717,3 +718,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("image_count", [10, 2])
+def test_images_and_labels_of_different_lengths_are_refused(image_count):
+    # evaluate_network scored images[:3] with 10 images and raised IndexError
+    # with 2; train left the 7 unlabeled images out without a word
+    images, labels = toy_problem(n=10)
+    images, labels = images[:image_count], labels[:3]
+    arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=2, seed=0)
+    message = rf"^{image_count} images but 3 labels$"
+    with pytest.raises(ConfigError, match=message):
+        evaluate_network(initialize(arch), images, labels)
+    with pytest.raises(ConfigError, match=message):
+        train(arch, images, labels, TrainConfig(epochs=1, seed=0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podclass.dataset import (
+    PARTITIONS,
     ClassLabel,
     DatasetSplit,
     Sample,
@@ -295,6 +296,31 @@ def test_split_refuses_a_class_without_train_frames():
     # (which nothing can fit or train on), are left alone
     split([(a, 0)], [(a, 1)])
     split([], [(a, 0)], [(b, 0)])
+
+
+def test_split_refuses_a_sample_in_unseen_and_a_training_partition():
+    # only the manifest reader refused this; a split built from rows took it
+    frame = np.zeros((2, 2))
+    a, a1, b, b1 = (
+        Sample(ClassLabel(c, code), sid, [frame, frame])
+        for c, code in enumerate("AB")
+        for sid in ("s00", "s01")
+    )
+
+    def split(**rows):
+        return DatasetSplit([a, a1, b, b1], {n: rows.get(n, []) for n in PARTITIONS})
+
+    for name in ("train", "validation", "test"):
+        rows = {"train": [(a1, 0), (b1, 0)], "unseen": [(a, 1)]}
+        rows[name] = rows.get(name, []) + [(a, 0)]
+        with pytest.raises(
+            DataFormatError,
+            match=r"^samples \[\('A', 's00'\)\] appear both in training "
+            r"partitions and in unseen$",
+        ):
+            split(**rows)
+    # sample ids repeat across classes: B/s00 is held out, A/s00 trains
+    split(train=[(a, 0), (b1, 0)], unseen=[(b, 0), (b, 1)])
 
 
 def test_split_keeps_only_the_frames_its_rows_name():

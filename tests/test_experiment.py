@@ -255,6 +255,18 @@ def test_reports_are_identical_on_one_and_two_cpus(
     assert rendered[0] == rendered[1] == render_report(small_report)
 
 
+def test_reports_are_identical_without_sched_getaffinity(
+    tiny_split, small_config, small_report, monkeypatch
+):
+    # macOS has no os.sched_getaffinity: the worker count falls back to
+    # os.cpu_count() instead of raising AttributeError
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count in (1, 2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        report = run_experiment(tiny_split, small_config)
+        assert render_report(report) == render_report(small_report)
+
+
 @needs_workers
 def test_networks_train_in_worker_processes_on_more_than_one_cpu(
     tiny_split, small_config, monkeypatch

@@ -29,6 +29,8 @@ SMALL_SPEC = "classes=3\nframes=36\nside=16\nrank=3\nnoise=0.1\nseed=9\n"
 # 64x64 frames reach the large-matrix GEMM kernels that 16x16 ones do not
 WIDE_SPEC = "classes=3\nframes=150\nside=64\nrank=4\nnoise=0.1\nseed=9\n"
 BAD_SPEC = "classes=1_0\n"
+# one sample in both a training partition and unseen
+OVERLAP_MANIFEST = "train\tC0\ts00\t0000\nunseen\tC0\ts00\t0001\n"
 NET = ["--epochs", "2", "--arch", "4,4,4,8"]
 DATA = ["--data", "data"]
 WIDE = ["--data", "wide"]
@@ -70,6 +72,10 @@ COMMANDS = [
     ("refuse-missing-manifest", ["ingest-check", *DATA, "--manifest", "typo.tsv"]),
     ("refuse-directory-manifest", ["ingest-check", *DATA, "--manifest", "data"]),
     (
+        "refuse-overlapping-manifest",
+        ["ingest-check", *DATA, "--manifest", "overlap.tsv"],
+    ),
+    (
         "refuse-project-inside-data",
         ["project", *DATA, "--rank", "1", "--out", "data/proj"],
     ),
@@ -91,6 +97,7 @@ def main() -> int:
     (out / "small.spec").write_text(SMALL_SPEC, encoding="utf-8")
     (out / "wide.spec").write_text(WIDE_SPEC, encoding="utf-8")
     (out / "bad.spec").write_text(BAD_SPEC, encoding="utf-8")
+    (out / "overlap.tsv").write_text(OVERLAP_MANIFEST, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     for number, (name, argv) in enumerate(COMMANDS, 1):
         done = subprocess.run(
