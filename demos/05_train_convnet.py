@@ -41,7 +41,7 @@ for row in result.history[::3] + [result.history[-1]]:
 again = convnet.train(arch, train_images, train_labels, config, validation=val)
 identical = all(
     np.array_equal(a, b)
-    for a, b in zip(result.params.arrays(), again.params.arrays())
+    for a, b in zip(result.params, again.params)
 )
 print(f"\nretraining with the same seeds is bit-identical: {identical}")
 

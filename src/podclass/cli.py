@@ -184,14 +184,22 @@ def _print_split_counts(split: DatasetSplit) -> None:
     print("split frames: " + " ".join(f"{n}={counts[n]}" for n in sorted(counts)))
 
 
+def _refuse_nonempty(out: Path) -> None:
+    """Refuse an ``--out`` directory that holds anything: a tree written over
+    it would keep stale classes, samples and frames beside the new ones."""
+    if out.is_dir() and any(out.iterdir()):
+        raise ConfigError(f"--out {out} is a directory that is not empty")
+
+
 def cmd_synth(args) -> int:
     spec = (
         SyntheticSpec.from_config_file(args.spec) if args.spec else SyntheticSpec()
     )
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    samples = generate_synthetic(spec)
     out = Path(args.out)
+    _refuse_nonempty(out)
+    samples = generate_synthetic(spec)
     write_samples(samples, out)
     policy = SplitPolicy.for_samples(samples)
     split = split_dataset(samples, policy, seed=spec.seed, view=out.name)
@@ -259,6 +267,7 @@ def cmd_project(args) -> int:
     data, target = Path(args.data).resolve(), out.resolve()
     if target == data or data in target.parents:
         raise ConfigError(f"--out {args.out} is the --data directory or inside it")
+    _refuse_nonempty(out)
     rule = _rule(args)
     samples, split = _load_split(args)
     library = _train_library(split, rule)
@@ -272,7 +281,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _network_config(args)
+    config = _network_config(args, runs=1)  # one network, from --seed
     split = _load_split(args)[1]
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
     result, scores = train_and_score(

@@ -39,9 +39,9 @@ blocks whenever a few large frames just exceed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,6 +79,12 @@ def check_widths(channels: Sequence[int], hidden: int) -> None:
         raise ConfigError("need hidden >= 1")
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a network seed that a checkpoint cannot store as a u64."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed} is outside [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Static shape of the network plus its initialization seed."""
@@ -96,6 +102,7 @@ class Architecture:
         check_widths(self.channels, self.hidden)
         if self.classes < 2:
             raise ConfigError("need classes >= 2")
+        check_seed(self.seed)
 
     @property
     def flat_dim(self) -> int:
@@ -103,9 +110,10 @@ class Architecture:
         return (self.height // 8) * (self.width // 8) * self.channels[2]
 
 
-@dataclass(frozen=True)
-class Params:
-    """All trainable tensors, in the order they are serialized."""
+class Params(NamedTuple):
+    """The ten network tensors in serialization order. The same tuple holds
+    their gradients, RMSprop's running squares and (``param_shapes``) their
+    shapes."""
 
     kernel1: np.ndarray
     bias1: np.ndarray
@@ -118,52 +126,34 @@ class Params:
     output_weight: np.ndarray
     output_bias: np.ndarray
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in PARAM_FIELDS)
 
-    @classmethod
-    def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "Params":
-        if len(arrays) != len(PARAM_FIELDS):
-            raise ConfigError(f"expected {len(PARAM_FIELDS)} parameter tensors")
-        return cls(**dict(zip(PARAM_FIELDS, arrays)))
-
-
-PARAM_FIELDS = tuple(f.name for f in fields(Params))
-
-
-def param_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:
+def param_shapes(arch: Architecture) -> Params:
     c1, c2, c3 = arch.channels
-    return {
-        "kernel1": (3, 3, 1, c1),
-        "bias1": (c1,),
-        "kernel2": (3, 3, c1, c2),
-        "bias2": (c2,),
-        "kernel3": (3, 3, c2, c3),
-        "bias3": (c3,),
-        "hidden_weight": (arch.flat_dim, arch.hidden),
-        "hidden_bias": (arch.hidden,),
-        "output_weight": (arch.hidden, arch.classes),
-        "output_bias": (arch.classes,),
-    }
+    return Params(
+        (3, 3, 1, c1), (c1,),
+        (3, 3, c1, c2), (c2,),
+        (3, 3, c2, c3), (c3,),
+        (arch.flat_dim, arch.hidden), (arch.hidden,),
+        (arch.hidden, arch.classes), (arch.classes,),
+    )
 
 
 def initialize(arch: Architecture) -> Params:
     """He-initialized weights (variance 2 / fan-in), zero biases.
 
-    Weight tensors are drawn in serialization order from a generator
-    seeded with ``arch.seed``; biases consume no randomness.
+    Weight tensors (two or more dimensions) are drawn in serialization
+    order from a generator seeded with ``arch.seed``; biases (one
+    dimension) consume no randomness.
     """
     rng = np.random.default_rng(arch.seed)
-    shapes = param_shapes(arch)
-    arrays = []
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
-        if name.startswith("bias") or name.endswith("_bias"):
-            arrays.append(np.zeros(shape))
-            continue
-        fan_in = int(np.prod(shape[:-1]))
-        arrays.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
-    return Params.from_arrays(arrays)
+    return Params(
+        *(
+            rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[:-1])), size=shape)
+            if len(shape) > 1
+            else np.zeros(shape)
+            for shape in param_shapes(arch)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +390,24 @@ def loss_and_gradients(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RmspropState:
-    """Running mean of squared gradients, one array per parameter."""
-
-    squares: tuple[np.ndarray, ...]
-
-    @classmethod
-    def zeros(cls, params: Params) -> "RmspropState":
-        return cls(tuple(np.zeros_like(a) for a in params.arrays()))
-
-
 def rmsprop_step(
     params: Params,
     grads: Params,
-    state: RmspropState,
+    squares: Params,
     learning_rate: float,
-) -> tuple[Params, RmspropState]:
+) -> tuple[Params, Params]:
     """One update: s <- rho s + (1 - rho) g^2, theta <- theta - lr g / (sqrt(s) + eps),
-    with rho = RMSPROP_RHO and eps = RMSPROP_EPS.
+    with rho = RMSPROP_RHO and eps = RMSPROP_EPS, for the running squares s.
 
-    Inputs are left untouched; fresh parameter and state objects come back.
+    Inputs are left untouched; fresh parameters and squares come back.
     """
     new_params = []
     new_squares = []
-    for theta, g, s in zip(params.arrays(), grads.arrays(), state.squares):
+    for theta, g, s in zip(params, grads, squares):
         s_new = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * g * g
         new_params.append(theta - learning_rate * g / (np.sqrt(s_new) + RMSPROP_EPS))
         new_squares.append(s_new)
-    return Params.from_arrays(new_params), RmspropState(tuple(new_squares))
+    return Params(*new_params), Params(*new_squares)
 
 
 @dataclass(frozen=True)
@@ -443,6 +422,7 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -511,7 +491,7 @@ def train(
     if train_labels.min() < 0 or train_labels.max() >= arch.classes:
         raise ConfigError("training labels outside the architecture's class range")
     params = initialize(arch)
-    state = RmspropState.zeros(params)
+    squares = Params(*map(np.zeros_like, params))
     shuffler = np.random.default_rng(config.seed)
     history: list[dict] = []
     for epoch in range(config.epochs):
@@ -525,7 +505,7 @@ def train(
             )
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged at epoch {epoch}")
-            params, state = rmsprop_step(params, grads, state, config.learning_rate)
+            params, squares = rmsprop_step(params, grads, squares, config.learning_rate)
             epoch_loss += loss * take.size
             epoch_correct += int(
                 (probs.argmax(axis=1) == train_labels[take]).sum()
@@ -562,7 +542,7 @@ def save_checkpoint(arch: Architecture, params: Params, path: str | Path) -> Non
             arch.classes,
             arch.seed,
         )
-        for array in params.arrays():
+        for array in params:
             write_array(stream, array, "C")
 
 
@@ -572,8 +552,6 @@ def load_checkpoint(path: str | Path) -> tuple[Architecture, Params]:
         fields = read_fields(stream, "8Q", "architecture")
         h, w, c1, c2, c3, hidden, classes, seed = fields
         arch = Architecture(h, w, (c1, c2, c3), hidden, classes, seed)
-        arrays = [
-            read_array(stream, shape, name, "C")
-            for name, shape in param_shapes(arch).items()
-        ]
-    return arch, Params.from_arrays(arrays)
+        shapes = zip(Params._fields, param_shapes(arch))
+        params = Params(*(read_array(stream, s, name, "C") for name, s in shapes))
+    return arch, params

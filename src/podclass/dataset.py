@@ -237,6 +237,8 @@ class SyntheticSpec:
             )
         if not 0 <= self.noise_level < float("inf"):
             raise ConfigError("noise_level must be finite and nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
 
     @classmethod
     def from_config_file(cls, path: str | Path) -> "SyntheticSpec":
@@ -464,6 +466,8 @@ def split_dataset(
     is a seeded permutation of (train, validation, test), so no partition
     systematically receives the early frames of every recording.
     """
+    if seed < 0:
+        raise ConfigError(f"seed {seed} is negative")
     by_class = group_by_class(samples)
     needed = policy.train_samples + policy.unseen_samples
     rng = np.random.default_rng(seed)

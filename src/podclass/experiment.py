@@ -63,7 +63,9 @@ class ExperimentConfig:
         names = [name for name, _, _ in self.arms]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate truncation arms: {names}")
-        self.train_config(self.seed)  # refuses bad training knobs now
+        # refuses bad training knobs, the first and the last seed now
+        self.train_config(self.seed)
+        self.train_config(self.seed + self.runs - 1)
         convnet.check_widths(self.channels, self.hidden)
 
     @property

@@ -194,7 +194,7 @@ def test_analytic_gradients_match_finite_differences():
             return loss, b"".join(parts)
 
         _, base_sig = probe()
-        for field in convnet.PARAM_FIELDS:
+        for field in convnet.Params._fields:
             flat = getattr(params, field).reshape(-1)
             grad = getattr(grads, field).reshape(-1)
             for i in range(flat.size):
@@ -229,15 +229,9 @@ def test_loss_and_optimizer_closed_form_values():
     arch = convnet.Architecture(
         height=8, width=8, channels=(2, 2, 2), hidden=4, classes=3, seed=0
     )
-    zeros = convnet.Params.from_arrays(
-        [np.zeros(s) for s in convnet.param_shapes(arch).values()]
-    )
-    ones = convnet.Params.from_arrays(
-        [np.ones(s) for s in convnet.param_shapes(arch).values()]
-    )
-    stepped, _ = convnet.rmsprop_step(
-        zeros, ones, convnet.RmspropState.zeros(zeros), learning_rate=1e-3
-    )
+    zeros = convnet.Params(*map(np.zeros, convnet.param_shapes(arch)))
+    ones = convnet.Params(*map(np.ones, convnet.param_shapes(arch)))
+    stepped, _ = convnet.rmsprop_step(zeros, ones, zeros, learning_rate=1e-3)
     magnitude = -float(stepped.bias1[0])
     expected = 1e-3 / (np.sqrt(0.1) + convnet.RMSPROP_EPS)
     step_err = abs(magnitude - expected)
@@ -365,7 +359,7 @@ def test_serialized_artifacts_round_trip_exactly(tmp_path):
     ckpt_ok = (
         arch2 == arch
         and ckpt.read_bytes() == ckpt2.read_bytes()
-        and all(np.array_equal(a, b) for a, b in zip(params.arrays(), params2.arrays()))
+        and all(np.array_equal(a, b) for a, b in zip(params, params2))
     )
 
     tree = tmp_path / "frames"

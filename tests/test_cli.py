@@ -647,6 +647,98 @@ def test_bad_settings_exit_2_before_reading_data(tmp_path, capsys, args, message
     assert not out.exists()
 
 
+_U64 = "is outside [0, 2**64)"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--seed", str(2**64)], f"seed {2**64} {_U64}"),
+        (["train", "--seed", "-1"], f"seed -1 {_U64}"),
+        (["experiment", "--seed", "-1"], f"seed -1 {_U64}"),
+        (
+            ["experiment", "--seed", str(2**64 - 2), "--runs", "3"],
+            f"seed {2**64} {_U64}",
+        ),
+    ],
+    ids=["train-2**64", "train-negative", "experiment-negative", "experiment-last"],
+)
+def test_network_seed_outside_u64_exit_2_before_reading_data(
+    tmp_path, capsys, args, message
+):
+    # train used to train the whole network and then crash with struct.error
+    # on saving its seed, leaving an 8-byte checkpoint.bin; experiment fitted
+    # every class and then exited 2 naming no flag
+    out = tmp_path / "out"
+    args = [*args, "--out", str(out), "--data", str(tmp_path / "absent")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_takes_the_largest_u64_seed(data_dir, tmp_path):
+    # train builds one network, so only --seed itself must fit in a u64
+    out = tmp_path / "model"
+    args = ["train", "--data", str(data_dir), "--epochs", "1", "--arch", "2,2,2,2"]
+    assert main([*args, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert load_checkpoint(out / "checkpoint.bin")[0].seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest-check"])
+def test_negative_data_seed_exit_2(data_dir, tmp_path, capsys, command):
+    # numpy used to refuse it with a bare "expected non-negative integer"
+    out = tmp_path / "out"
+    args = ["--seed", "-1"]
+    if command == "synth":
+        args += ["--out", str(out)]
+    else:
+        args += ["--data", str(_tree_copy(data_dir, tmp_path / "bare"))]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == "error: seed -1 is negative\n"
+    assert not out.exists()
+
+
+def _tree_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_over_a_tree_exit_2_and_leaves_it_as_it_was(tmp_path, capsys):
+    # it used to write the new tree over the old: a 3-class spec over a
+    # 4-class tree left a fourth class, and samples that mixed new frames
+    # with the old spec's
+    first, second = tmp_path / "first.spec", tmp_path / "second.spec"
+    first.write_text("classes=4\nframes=40\nside=8\nrank=2\n", encoding="utf-8")
+    second.write_text("classes=3\nframes=24\nside=8\nrank=2\n", encoding="utf-8")
+    out = tmp_path / "d"
+    assert main(["synth", "--spec", str(first), "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(second), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out} is a directory that is not empty\n"
+    assert _tree_bytes(out) == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["synth", "--spec", str(second), "--out", str(empty)]) == 0
+    assert sum(len(sample.frames) for sample in load_dataset(empty)) == 3 * 24
+
+
+def test_project_over_a_tree_exit_2_before_reading_data(data_dir, tmp_path, capsys):
+    out = tmp_path / "proj"
+    out.mkdir()
+    (out / "stale.txt").write_text("x", encoding="utf-8")
+    message = f"error: --out {out} is a directory that is not empty\n"
+    for data in (tmp_path / "absent", data_dir):
+        args = ["project", "--data", str(data), "--rank", "2", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == message
+        assert _tree_bytes(out) == {out / "stale.txt": b"x"}
+    (out / "stale.txt").unlink()  # an empty directory is taken
+    assert main(args) == 0
+    manifest = (data_dir / "manifest.tsv").read_bytes()
+    assert (out / "manifest.tsv").read_bytes() == manifest
+
+
 @pytest.mark.parametrize(
     "flag", [["--rank", "3"], ["--tolerance", "0.2"], ["--gavish"]]
 )

@@ -11,7 +11,6 @@ from podclass import convnet
 from podclass.convnet import (
     Architecture,
     Params,
-    RmspropState,
     TrainConfig,
     conv3x3_backward,
     conv3x3_forward,
@@ -197,17 +196,17 @@ def test_network_gradients_match_finite_differences(rng):
     labels = rng.integers(0, 3, size=4)
     _, grads, _ = loss_and_gradients(params, images, labels)
 
-    arrays = [a.copy() for a in params.arrays()]
+    arrays = [a.copy() for a in params]
 
     def loss():
         value, _, _ = loss_and_gradients(
-            Params.from_arrays(arrays), images, labels
+            Params(*arrays), images, labels
         )
         return value
 
     worst = 0.0
     probe_rng = np.random.default_rng(7)
-    for analytic, array in zip(grads.arrays(), arrays):
+    for analytic, array in zip(grads, arrays):
         flat = array.reshape(-1)
         picks = probe_rng.choice(flat.size, size=min(4, flat.size), replace=False)
         for p in picks:
@@ -242,7 +241,7 @@ def test_skipped_image_gradient_leaves_parameter_gradients_bit_identical(
     full_loss, full_grads, full_probs = loss_and_gradients(params, images, labels)
     assert loss == full_loss
     assert np.array_equal(probs, full_probs)
-    for got, want in zip(grads.arrays(), full_grads.arrays()):
+    for got, want in zip(grads, full_grads):
         assert got.tobytes() == want.tobytes()
 
 
@@ -327,9 +326,9 @@ def _integer_params(arch, rng):
         rng.integers(-1, 2, size=a.shape).astype(np.float64)
         if name.startswith(("kernel", "bias"))
         else a
-        for name, a in zip(convnet.PARAM_FIELDS, params.arrays())
+        for name, a in zip(Params._fields, params)
     ]
-    return Params.from_arrays(arrays)
+    return Params(*arrays)
 
 
 @pytest.mark.parametrize("values", ["integer", "normal"])
@@ -349,9 +348,7 @@ def test_pool_then_relu_is_bit_identical_to_relu_then_pool(rng, values, h, w):
     )
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert probs.tobytes() == want_probs.tobytes()
-    for name, got, want in zip(
-        convnet.PARAM_FIELDS, grads.arrays(), want_grads.arrays()
-    ):
+    for name, got, want in zip(Params._fields, grads, want_grads):
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     if values == "integer":
@@ -389,7 +386,7 @@ def _network_outputs(params, images, labels):
     return [
         np.float64(loss).tobytes(),
         probs.tobytes(),
-        *(g.tobytes() for g in grads.arrays()),
+        *(g.tobytes() for g in grads),
         convnet.forward(params, images).tobytes(),
         np.float64(val_loss).tobytes(),
         np.float64(val_acc).tobytes(),
@@ -415,7 +412,7 @@ def test_frame_blocks_leave_every_output_bit_identical(monkeypatch, rng, values,
         sizes = {b.stop - b.start for b in convnet._frame_blocks(37, hi, wi, cin)}
         assert len(sizes) == 2  # several blocks, split unevenly
     blocked = _network_outputs(params, images, labels)
-    names = ["loss", "probs", *convnet.PARAM_FIELDS, "logits", "val_loss",
+    names = ["loss", "probs", *Params._fields, "logits", "val_loss",
              "val_accuracy", "predict"]
     for name, got, want in zip(names, blocked, whole):
         assert got == want, name
@@ -470,14 +467,14 @@ def test_relu_subgradient_zero_at_zero():
     # a parameter sitting exactly at zero pre-activation must get no
     # gradient through the ReLU
     params = initialize(TINY)
-    zeroed = [np.zeros_like(a) for a in params.arrays()]
+    zeroed = [np.zeros_like(a) for a in params]
     # zero weights give zero pre-activations everywhere
-    frozen = Params.from_arrays(zeroed)
+    frozen = Params(*zeroed)
     images = np.full((2, 8, 8), 0.5)
     labels = np.array([0, 1])
     _, grads, _ = loss_and_gradients(frozen, images, labels)
     # with all activations dead, only the output bias can move
-    for name, grad in zip(convnet.PARAM_FIELDS, grads.arrays()):
+    for name, grad in zip(Params._fields, grads):
         if name == "output_bias":
             assert np.abs(grad).max() > 0
         else:
@@ -491,10 +488,10 @@ def test_initialize_is_seeded():
     a = initialize(TINY)
     b = initialize(TINY)
     c = initialize(Architecture(**{**TINY.__dict__, "seed": 1}))
-    for x, y in zip(a.arrays(), b.arrays()):
+    for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert any(
-        not np.array_equal(x, z) for x, z in zip(a.arrays(), c.arrays())
+        not np.array_equal(x, z) for x, z in zip(a, c)
     )
 
 
@@ -517,42 +514,55 @@ def test_architecture_validation():
         Architecture(height=8, width=8, classes=1)
 
 
+@pytest.mark.parametrize("refused, taken", [(-1, 0), (2**64, 2**64 - 1)])
+def test_network_seeds_outside_u64_are_refused(tmp_path, refused, taken):
+    # they used to be accepted, and a checkpoint then failed to store one
+    # with struct.error after the whole network had trained
+    message = rf"seed {refused} is outside \[0, 2\*\*64\)"
+    with pytest.raises(ConfigError, match=message):
+        Architecture(8, 8, seed=refused)
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(seed=refused)
+    TrainConfig(seed=taken)
+    arch = Architecture(**{**TINY.__dict__, "seed": taken})
+    save_checkpoint(arch, initialize(arch), tmp_path / "model.bin")
+    assert load_checkpoint(tmp_path / "model.bin")[0] == arch
+
+
 # -- optimizer ---------------------------------------------------------------
 
 
 def test_rmsprop_hand_value():
-    p0 = Params.from_arrays(
-        [np.array([0.0])] + [np.zeros(1) for _ in range(9)]
-    )
-    g = Params.from_arrays([np.array([1.0])] + [np.zeros(1) for _ in range(9)])
-    state = RmspropState.zeros(p0)
-    p1, _ = rmsprop_step(p0, g, state, learning_rate=1e-3)
+    p0 = Params(np.array([0.0]), *(np.zeros(1) for _ in range(9)))
+    g = Params(np.array([1.0]), *(np.zeros(1) for _ in range(9)))
+    squares = Params(*map(np.zeros_like, p0))
+    p1, _ = rmsprop_step(p0, g, squares, learning_rate=1e-3)
     # first step with unit gradient: s = 0.1, theta = -lr / (sqrt(0.1) + eps)
     expected = -1e-3 / (0.316228 + 1e-7)
-    assert abs(p1.arrays()[0][0] - expected) <= 1e-8
+    assert abs(p1.kernel1[0] - expected) <= 1e-8
 
 
 def test_rmsprop_accumulates_square(rng):
     shape = (3, 2)
-    p = Params.from_arrays([rng.normal(size=shape)] + [np.zeros(1)] * 9)
-    g1 = Params.from_arrays([rng.normal(size=shape)] + [np.zeros(1)] * 9)
-    g2 = Params.from_arrays([rng.normal(size=shape)] + [np.zeros(1)] * 9)
-    state = RmspropState.zeros(p)
-    p, state = rmsprop_step(p, g1, state, 1e-2)
-    p, state = rmsprop_step(p, g2, state, 1e-2)
-    expected = 0.9 * (0.1 * g1.arrays()[0] ** 2) + 0.1 * g2.arrays()[0] ** 2
-    assert np.abs(state.squares[0] - expected).max() <= 1e-15
+    p = Params(rng.normal(size=shape), *[np.zeros(1)] * 9)
+    g1 = Params(rng.normal(size=shape), *[np.zeros(1)] * 9)
+    g2 = Params(rng.normal(size=shape), *[np.zeros(1)] * 9)
+    squares = Params(*map(np.zeros_like, p))
+    p, squares = rmsprop_step(p, g1, squares, 1e-2)
+    p, squares = rmsprop_step(p, g2, squares, 1e-2)
+    expected = 0.9 * (0.1 * g1.kernel1**2) + 0.1 * g2.kernel1**2
+    assert np.abs(squares.kernel1 - expected).max() <= 1e-15
 
 
 def test_rmsprop_does_not_mutate_inputs(rng):
-    p = Params.from_arrays([rng.normal(size=(2, 2))] + [np.zeros(1)] * 9)
-    g = Params.from_arrays([rng.normal(size=(2, 2))] + [np.zeros(1)] * 9)
-    state = RmspropState.zeros(p)
-    p_copy = [a.copy() for a in p.arrays()]
-    s_copy = [a.copy() for a in state.squares]
-    rmsprop_step(p, g, state, 1e-3)
-    assert all(np.array_equal(a, b) for a, b in zip(p.arrays(), p_copy))
-    assert all(np.array_equal(a, b) for a, b in zip(state.squares, s_copy))
+    p = Params(rng.normal(size=(2, 2)), *[np.zeros(1)] * 9)
+    g = Params(rng.normal(size=(2, 2)), *[np.zeros(1)] * 9)
+    squares = Params(*map(np.zeros_like, p))
+    p_copy = [a.copy() for a in p]
+    s_copy = [a.copy() for a in squares]
+    rmsprop_step(p, g, squares, 1e-3)
+    assert all(np.array_equal(a, b) for a, b in zip(p, p_copy))
+    assert all(np.array_equal(a, b) for a, b in zip(squares, s_copy))
 
 
 # -- training ----------------------------------------------------------------
@@ -581,7 +591,7 @@ def test_training_is_deterministic():
     a = train(arch, images, labels, cfg)
     b = train(arch, images, labels, cfg)
     assert a.history == b.history
-    for x, y in zip(a.params.arrays(), b.params.arrays()):
+    for x, y in zip(a.params, b.params):
         assert np.array_equal(x, y)
 
 
@@ -629,9 +639,7 @@ def test_inference_refuses_non_finite_logits(rng):
     # what a diverged final update leaves: the loss it was computed from
     # was finite, so only scoring sees the damage
     params = initialize(TINY)
-    blown = Params.from_arrays(
-        params.arrays()[:-1] + (np.array([np.inf, 0.0, 0.0]),)
-    )
+    blown = params._replace(output_bias=np.array([np.inf, 0.0, 0.0]))
     images = rng.uniform(0, 1, size=(3, 8, 8))
     with pytest.raises(NumericError, match="non-finite logits"):
         convnet.predict(blown, images)
@@ -668,7 +676,7 @@ images = rng.uniform(0.0, 1.0, size=(128, side, side))
 labels = rng.integers(0, 5, size=128)
 loss, grads, probs = loss_and_gradients(params, images, labels)
 digest = hashlib.sha256(np.float64(loss).tobytes() + probs.tobytes())
-for array in (*grads.arrays(), forward(params, images)):
+for array in (*grads, forward(params, images)):
     digest.update(np.ascontiguousarray(array).tobytes())
 print(digest.hexdigest())
 """
@@ -700,7 +708,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     first = path.read_bytes()
     arch, again = load_checkpoint(path)
     assert arch == TINY
-    for a, b in zip(params.arrays(), again.arrays()):
+    for a, b in zip(params, again):
         assert np.array_equal(a, b)
     save_checkpoint(arch, again, path)
     assert path.read_bytes() == first

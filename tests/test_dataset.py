@@ -1,6 +1,7 @@
 import gc
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ def test_split_respects_per_sample_capacity():
             per_sample[sid] = per_sample.get(sid, 0) + 1
     assert len(per_sample) == 9
     assert all(v == 10 for v in per_sample.values())
+
+
+def test_split_refuses_a_negative_seed():
+    # numpy used to refuse it with a bare "expected non-negative integer"
+    samples = make_samples(n_classes=1, n_samples=12, n_frames=10)
+    with pytest.raises(ConfigError, match="seed -1 is negative"):
+        split_dataset(samples, SplitPolicy.proportional(9, 3, 10), seed=-1)
 
 
 @st.composite
@@ -474,6 +482,11 @@ def test_spec_config_round_trip(tmp_path, tiny_spec):
     path = tmp_path / "spec.txt"
     path.write_text(tiny_spec.to_config_text())
     assert SyntheticSpec.from_config_file(path) == tiny_spec
+
+
+def test_spec_refuses_a_negative_seed(tiny_spec):
+    with pytest.raises(ConfigError, match="seed -1 is negative"):
+        replace(tiny_spec, seed=-1)
 
 
 def test_spec_config_text_lists_every_field_in_file_order():

@@ -82,6 +82,22 @@ def test_config_checks_training_knobs_at_construction(knobs, message):
         ExperimentConfig(**knobs)
 
 
+@pytest.mark.parametrize(
+    "knobs, refused, taken",
+    [
+        ({"seed": -1}, -1, {"seed": 0}),
+        ({"seed": 2**64 - 4, "runs": 5}, 2**64, {"seed": 2**64 - 4, "runs": 4}),
+        ({"seed": 2**64, "runs": 1}, 2**64, {"seed": 2**64 - 1, "runs": 1}),
+    ],
+)
+def test_config_refuses_a_first_or_last_seed_outside_u64(knobs, refused, taken):
+    # seed + runs - 1 is the last network's seed, stored in its checkpoint
+    message = rf"seed {refused} is outside \[0, 2\*\*64\)"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**knobs)
+    assert ExperimentConfig(**taken).seed == taken["seed"]
+
+
 def test_report_has_raw_and_projected_arms(small_report):
     assert small_report["protocol"]["arm_order"] == ["raw", "projected-r3"]
     assert set(small_report["arms"]) == {"raw", "projected-r3"}

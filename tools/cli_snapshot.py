@@ -80,6 +80,11 @@ COMMANDS = [
         ["project", *DATA, "--rank", "1", "--out", "data/proj"],
     ),
     ("refuse-bad-spec", ["synth", "--spec", "bad.spec", "--out", "bad-spec-data"]),
+    ("refuse-synth-over-tree", ["synth", "--spec", "small.spec", "--out", "data"]),
+    (
+        "refuse-train-seed-out-of-range",
+        ["train", *DATA, *NET, "--seed", str(2**64), "--out", "model-big"],
+    ),
     ("ingest-check-after", ["ingest-check", *DATA]),
 ]
 
