@@ -14,7 +14,7 @@ from podclass.dataset import (
     generate_synthetic,
     group_by_class,
 )
-from podclass.svd import TruncationRule, rank_for_energy, thin_svd, truncate
+from podclass.svd import TruncationRule, rank_for_energy, thin_svd
 
 spec = SyntheticSpec(
     class_count=1, frames_per_class=60, image_side=24, intrinsic_rank=4,
@@ -31,14 +31,16 @@ print(f"numerical rank {svd.rank}; leading singular values:")
 print("  " + " ".join(f"{v:.3f}" for v in svd.values[:8]))
 
 # the factorization reproduces the matrix and the factors are orthonormal
-err = np.linalg.norm(matrix - svd.reconstruct()) / np.linalg.norm(matrix)
+product = (svd.modes * svd.values) @ svd.coeffs.T
+err = np.linalg.norm(matrix - product) / np.linalg.norm(matrix)
 orth = np.abs(svd.modes.T @ svd.modes - np.eye(svd.rank)).max()
 print(f"reconstruction error {err:.2e}, mode orthonormality defect {orth:.2e}")
 
-# truncation error obeys the tail identity: no need to form the matrix
+# truncation keeps the leading r modes, values and coefficients; its error
+# obeys the tail identity, so there is no need to form the matrix
 for r in (2, 4, 8):
-    kept = truncate(svd, r)
-    direct = np.linalg.norm(matrix - kept.reconstruct())
+    kept = (svd.modes[:, :r] * svd.values[:r]) @ svd.coeffs[:, :r].T
+    direct = np.linalg.norm(matrix - kept)
     tail = np.sqrt((svd.values[r:] ** 2).sum())
     print(f"rank {r}: truncation error {direct:.4f}, tail formula {tail:.4f}")
 

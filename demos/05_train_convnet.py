@@ -30,7 +30,7 @@ arch = convnet.Architecture(
     height=16, width=16, channels=(4, 8, 8), hidden=16,
     classes=len(split.metadata.classes), seed=0,
 )
-config = convnet.TrainConfig(epochs=12, batch_size=32, learning_rate=1e-3, seed=0)
+config = convnet.TrainConfig(epochs=12, batch_size=32, learning_rate=1e-3)
 result = convnet.train(arch, train_images, train_labels, config, validation=val)
 
 for row in result.history[::3] + [result.history[-1]]:

@@ -60,7 +60,6 @@ from .svd import (
     gavish_donoho_omega,
     rank_for_energy,
     thin_svd,
-    truncate,
 )
 
 __version__ = "0.1.0"
@@ -114,7 +113,6 @@ __all__ = [
     "split_from_manifest",
     "thin_svd",
     "train",
-    "truncate",
     "write_manifest",
     "write_samples",
 ]

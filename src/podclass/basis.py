@@ -30,7 +30,7 @@ from .errors import (
     write_container,
     write_fields,
 )
-from .svd import ThinSVD, TruncationRule, thin_svd, truncate
+from .svd import ThinSVD, TruncationRule, thin_svd
 
 FACTORS_MAGIC = b"EIGH"
 LIBRARY_MAGIC = b"EIGB"
@@ -57,14 +57,14 @@ class ClassBasis:
     def rank(self) -> int:
         return int(self.modes.shape[1])
 
-    def center(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors - (self.mean[:, None] if vectors.ndim == 2 else self.mean)
-
-    def project(self, vectors: np.ndarray) -> np.ndarray:
-        """Mean-restored projection, column-wise for 2-D input."""
-        centered = self.center(vectors)
-        fitted = self.modes @ (self.modes.T @ centered)
-        return fitted + (self.mean[:, None] if vectors.ndim == 2 else self.mean)
+    def project(self, frame: np.ndarray) -> np.ndarray:
+        """Mean-restored projection of one flat frame."""
+        if frame.shape != self.mean.shape:
+            raise ConfigError(
+                f"need one flat frame of shape {self.mean.shape}, got {frame.shape}"
+            )
+        fitted = self.modes @ (self.modes.T @ (frame - self.mean))
+        return fitted + self.mean
 
 
 @dataclass
@@ -146,11 +146,10 @@ class ClassFit:
                 f"class {code}: all {k} frames identical; "
                 "using canonical one-mode basis"
             ]
-        rank, note = rule.select(self.svd.values, self.shape)
-        kept = truncate(self.svd, rank)
-        basis = ClassBasis(
-            self.label, self.mean, kept.modes.copy(), values=kept.values.copy()
-        )
+        rank, note = rule.select(self.svd.values, self.shape)  # in [1, svd rank]
+        # copies, so the fit's full factors can be freed
+        modes = self.svd.modes[:, :rank].copy()
+        basis = ClassBasis(self.label, self.mean, modes, self.svd.values[:rank].copy())
         return basis, [] if note is None else [f"class {code}: {note}"]
 
 

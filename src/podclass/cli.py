@@ -184,9 +184,30 @@ def _print_split_counts(split: DatasetSplit) -> None:
     print("split frames: " + " ".join(f"{n}={counts[n]}" for n in sorted(counts)))
 
 
-def _refuse_nonempty(out: Path) -> None:
-    """Refuse an ``--out`` directory that holds anything: a tree written over
-    it would keep stale classes, samples and frames beside the new ones."""
+def _check_out(args, kind: str) -> None:
+    """Refuse a bad ``--out`` before any data is read or generated. A "file"
+    goes into a directory that exists, a "dir" is made with its parents, and
+    a "tree" is a dir outside ``--data`` that holds nothing: a tree written
+    over another would keep its stale classes, samples and frames."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    if kind == "file":
+        if out.is_dir():
+            raise ConfigError(f"--out {out} is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"--out {out} is not in an existing directory")
+        return
+    # made with its parents, so the nearest path that exists must be a directory
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    if kind != "tree":
+        return
+    if getattr(args, "data", None) is not None:  # project: not into what it reads
+        data, target = Path(args.data).resolve(), out.resolve()
+        if target == data or data in target.parents:
+            raise ConfigError(f"--out {args.out} is the --data directory or inside it")
     if out.is_dir() and any(out.iterdir()):
         raise ConfigError(f"--out {out} is a directory that is not empty")
 
@@ -197,12 +218,12 @@ def cmd_synth(args) -> int:
     )
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    _check_out(args, "tree")
     out = Path(args.out)
-    _refuse_nonempty(out)
     samples = generate_synthetic(spec)
     write_samples(samples, out)
     policy = SplitPolicy.for_samples(samples)
-    split = split_dataset(samples, policy, seed=spec.seed, view=out.name)
+    split = split_dataset(samples, policy, seed=spec.seed)
     write_manifest(split, out / MANIFEST_NAME)
     (out / "spec.txt").write_text(spec.to_config_text(), encoding="utf-8")
     print(f"wrote {len(samples)} samples under {out}")
@@ -226,6 +247,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_build_basis(args) -> int:
     rule = _rule(args)
+    _check_out(args, "file")
     split = _load_split(args)[1]
     library = _train_library(split, rule)
     save_library(library, args.out)
@@ -238,6 +260,7 @@ def cmd_build_basis(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _check_out(args, "dir")
     split = _load_split(args)[1]
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -263,11 +286,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _check_out(args, "tree")
     out = Path(args.out)
-    data, target = Path(args.data).resolve(), out.resolve()
-    if target == data or data in target.parents:
-        raise ConfigError(f"--out {args.out} is the --data directory or inside it")
-    _refuse_nonempty(out)
     rule = _rule(args)
     samples, split = _load_split(args)
     library = _train_library(split, rule)
@@ -282,6 +302,7 @@ def cmd_project(args) -> int:
 
 def cmd_train(args) -> int:
     config = _network_config(args, runs=1)  # one network, from --seed
+    _check_out(args, "dir")
     split = _load_split(args)[1]
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
     result, scores = train_and_score(
@@ -306,6 +327,7 @@ def cmd_evaluate(args) -> int:
     if args.library and (args.rank or args.tolerance or args.gavish):
         raise ConfigError("--library takes no --rank, --tolerance or --gavish")
     rule = None if args.library else _rule(args)
+    _check_out(args, "file")
     split = _load_split(args)[1]
     if rule is None:
         library = _saved_library(args.library, split)
@@ -322,6 +344,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _network_config(args, rules=_rules(args), runs=args.runs)
+    _check_out(args, "file")
     split = _load_split(args)[1]
     report = run_experiment(split, config)
     for row in report["summary"]:

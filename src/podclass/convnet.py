@@ -4,8 +4,8 @@ Architecture: three rounds of 3x3 same-padding convolution, ReLU, and 2x2
 max pooling, then one hidden dense layer with ReLU and a softmax output.
 Everything runs in float64, NHWC layout, with explicit forward and
 backward passes; training is plain minibatch RMSprop. All randomness
-(initialization, epoch shuffles) flows from stored seeds, so a run is a
-pure function of its inputs.
+(initialization, epoch shuffles) flows from the architecture's seed, which
+checkpoints store, so a run is a pure function of its inputs.
 
 Convolutions are patch-matrix GEMMs (Chellapilla, Puri & Simard 2006):
 the padded batch is unrolled into a (B*H*W, 9*Cin) matrix of 3x3 patches
@@ -87,7 +87,7 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class Architecture:
-    """Static shape of the network plus its initialization seed."""
+    """Static shape of the network plus the seed of its weights and shuffles."""
 
     height: int
     width: int
@@ -415,14 +415,12 @@ class TrainConfig:
     epochs: int = 80
     batch_size: int = 128
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        check_seed(self.seed)
 
 
 @dataclass
@@ -476,7 +474,7 @@ def train(
     """Minibatch RMSprop from a fresh He initialization.
 
     Each epoch shuffles the training set with a generator seeded by
-    ``config.seed``, walks it in ``batch_size`` chunks (the short final
+    ``arch.seed``, walks it in ``batch_size`` chunks (the short final
     chunk included), and records running train metrics plus, when given,
     validation metrics on the epoch's final parameters. The returned model
     is the last epoch's, not a best-so-far snapshot.
@@ -492,7 +490,7 @@ def train(
         raise ConfigError("training labels outside the architecture's class range")
     params = initialize(arch)
     squares = Params(*map(np.zeros_like, params))
-    shuffler = np.random.default_rng(config.seed)
+    shuffler = np.random.default_rng(arch.seed)
     history: list[dict] = []
     for epoch in range(config.epochs):
         order = shuffler.permutation(n)

@@ -63,9 +63,9 @@ class ExperimentConfig:
         names = [name for name, _, _ in self.arms]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate truncation arms: {names}")
-        # refuses bad training knobs, the first and the last seed now
-        self.train_config(self.seed)
-        self.train_config(self.seed + self.runs - 1)
+        self.train_config()  # refuses bad training knobs now
+        convnet.check_seed(self.seed)
+        convnet.check_seed(self.seed + self.runs - 1)  # the last network's
         convnet.check_widths(self.channels, self.hidden)
 
     @property
@@ -76,11 +76,8 @@ class ExperimentConfig:
             (_arm_name(rule), rule, True) for rule in self.rules
         ]
 
-    def train_config(self, seed: int) -> convnet.TrainConfig:
-        """The training knobs, with ``seed`` for the epoch shuffles."""
-        return convnet.TrainConfig(
-            self.epochs, self.batch_size, self.learning_rate, seed
-        )
+    def train_config(self) -> convnet.TrainConfig:
+        return convnet.TrainConfig(self.epochs, self.batch_size, self.learning_rate)
 
 
 def _arm_name(rule: TruncationRule) -> str:
@@ -116,8 +113,8 @@ def train_and_score(
     validate_every_epoch: bool,
 ) -> tuple[convnet.TrainResult, dict[str, float]]:
     """Train one network from ``seed`` on ``data["train"]`` and score it on
-    every evaluation partition present. Weight initialization and epoch
-    shuffles both use ``seed``.
+    every evaluation partition present. The architecture carries ``seed``,
+    from which weight initialization and epoch shuffles both draw.
 
     ``data["validation"]``, when present, is scored after every epoch if
     ``validate_every_epoch``, else once on the final parameters; either
@@ -134,7 +131,7 @@ def train_and_score(
     result = convnet.train(
         arch,
         *data["train"],
-        config.train_config(seed),
+        config.train_config(),
         validation=validation if validate_every_epoch else None,
     )
     scores = {}

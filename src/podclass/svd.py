@@ -35,9 +35,6 @@ class ThinSVD:
     def rank(self) -> int:
         return int(self.values.size)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.modes * self.values) @ self.coeffs.T
-
 
 def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
     """Flip column pairs so each mode's largest-magnitude entry is
@@ -109,16 +106,6 @@ def thin_svd(matrix: np.ndarray) -> ThinSVD:
     values = values[:r].copy()
     _fix_signs(modes, coeffs)
     return ThinSVD(modes=modes, values=values, coeffs=coeffs)
-
-
-def truncate(svd: ThinSVD, rank: int) -> ThinSVD:
-    """Keep the ``rank`` leading modes (capped at the available rank)."""
-    if rank < 1:
-        raise ConfigError(f"truncation rank must be positive, got {rank}")
-    r = min(rank, svd.rank)
-    return ThinSVD(
-        modes=svd.modes[:, :r], values=svd.values[:r], coeffs=svd.coeffs[:, :r]
-    )
 
 
 def rank_for_energy(values: np.ndarray, tolerance: float) -> int:

@@ -110,6 +110,25 @@ def test_modes_span_matches_centered_svd(rng):
     assert np.abs(cos - 1.0).max() <= 1e-9
 
 
+def test_basis_keeps_the_leading_modes_and_values(rng):
+    frames = make_class_frames(rng, rank=6)
+    fit = fit_class(frames, LABEL)
+    basis, _ = fit.basis(TruncationRule(rank=5))
+    assert basis.rank == 5
+    assert np.array_equal(basis.values, fit.svd.values[:5])
+    assert np.array_equal(basis.modes, fit.svd.modes[:, :5])
+    # copies, so the fit's factors can be freed
+    assert basis.modes.base is None and basis.values.base is None
+
+
+@pytest.mark.parametrize("shape", [(63,), (64, 1), (8, 8)])
+def test_projection_takes_one_flat_frame_only(rng, shape):
+    frames = make_class_frames(rng)
+    basis, _ = fit_class(frames, LABEL).basis(TruncationRule(rank=2))
+    with pytest.raises(ConfigError, match=r"need one flat frame of shape \(64,\)"):
+        basis.project(np.zeros(shape))
+
+
 def test_degenerate_ensemble_falls_back(rng):
     frame = rng.uniform(0, 1, size=(6, 6))
     frames = [frame.copy() for _ in range(8)]

@@ -739,6 +739,53 @@ def test_project_over_a_tree_exit_2_before_reading_data(data_dir, tmp_path, caps
     assert (out / "manifest.tsv").read_bytes() == manifest
 
 
+_OUT_REFUSALS = {
+    "afile": "--out {out}: {root}/afile is not a directory",
+    "adir": "--out {out} is a directory",
+    "nodir": "--out {out} is not in an existing directory",
+}
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("synth", "afile"),
+        ("synth", "afile/tree"),
+        ("project", "afile"),
+        ("train", "afile"),
+        ("train", "afile/model"),
+        ("spectrum", "afile"),
+        ("build-basis", "adir"),
+        ("build-basis", "nodir/r.bin"),
+        ("evaluate", "adir"),
+        ("evaluate", "nodir/r.json"),
+        ("experiment", "adir"),
+        ("experiment", "nodir/r.json"),
+    ],
+)
+def test_bad_out_exit_2_before_any_work(
+    data_dir, spec_file, tmp_path, capsys, command, out
+):
+    # each used to exit 3 with a bare errno message once the work was done:
+    # experiment only after every network had trained
+    kind, out = out.split("/")[0], tmp_path / out
+    message = _OUT_REFUSALS[kind].format(out=out, root=tmp_path)
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)
+    net = ["--epochs", "1", "--arch", "2,2,2,2"]
+    knobs = {"train": net, "experiment": [*net, "--runs", "1"]}
+    args = [command, "--out", str(out), *knobs.get(command, [])]
+    if command == "synth":
+        runs = [[*args, "--spec", str(spec_file)]]
+    else:  # the refusal wins over good data and over missing data
+        runs = [[*args, "--data", str(d)] for d in (data_dir, tmp_path / "absent")]
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)) == before
+
+
 @pytest.mark.parametrize(
     "flag", [["--rank", "3"], ["--tolerance", "0.2"], ["--gavish"]]
 )

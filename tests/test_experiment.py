@@ -363,7 +363,7 @@ def test_final_row_is_the_last_row_of_per_epoch_validation(
             seed = row["seed"]
             arch = convnet.Architecture(h, w, c.channels, c.hidden, 3, seed)
             history = convnet.train(
-                arch, *data["train"], c.train_config(seed),
+                arch, *data["train"], c.train_config(),
                 validation=data["validation"],
             ).history
             assert json.dumps(row["final"]) == json.dumps(history[-1])

@@ -85,6 +85,14 @@ COMMANDS = [
         "refuse-train-seed-out-of-range",
         ["train", *DATA, *NET, "--seed", str(2**64), "--out", "model-big"],
     ),
+    (
+        "refuse-synth-out-file",
+        ["synth", "--spec", "small.spec", "--out", "lib-hard.bin"],
+    ),
+    (
+        "refuse-experiment-out-dir",
+        ["experiment", *DATA, *NET, "--runs", "1", "--out", "spectrum"],
+    ),
     ("ingest-check-after", ["ingest-check", *DATA]),
 ]
 
