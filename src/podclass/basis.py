@@ -94,10 +94,6 @@ class BasisLibrary:
                     f"frame shape {self.frame_shape}"
                 )
 
-    @property
-    def class_count(self) -> int:
-        return len(self.bases)
-
     def check_frame_shape(self, shape: tuple[int, ...]) -> None:
         """Refuse frames of any shape but the library's (H, W)."""
         if shape != self.frame_shape:
@@ -263,7 +259,7 @@ def save_library(library: BasisLibrary, path: str | Path) -> None:
     blob = json.dumps(library.provenance, sort_keys=True).encode("utf-8")
     h, w = library.frame_shape
     with write_container(path, LIBRARY_MAGIC) as stream:
-        write_fields(stream, "IQQQ", library.class_count, h, w, len(blob))
+        write_fields(stream, "IQQQ", len(library.bases), h, w, len(blob))
         stream.write(blob)
         for basis in library.bases:
             code = basis.label.code.encode("utf-8")

@@ -186,9 +186,9 @@ def _print_split_counts(split: DatasetSplit) -> None:
 
 def _check_out(args, kind: str) -> None:
     """Refuse a bad ``--out`` before any data is read or generated. A "file"
-    goes into a directory that exists, a "dir" is made with its parents, and
-    a "tree" is a dir outside ``--data`` that holds nothing: a tree written
-    over another would keep its stale classes, samples and frames."""
+    goes into an existing directory; a "dir" is made with its parents, outside
+    ``--data``, which would read it as a class; a "tree" is an empty dir:
+    written over another tree, it would keep that one's stale frames."""
     if args.out is None:
         return
     out = Path(args.out)
@@ -202,13 +202,11 @@ def _check_out(args, kind: str) -> None:
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out {out}: {existing} is not a directory")
-    if kind != "tree":
-        return
-    if getattr(args, "data", None) is not None:  # project: not into what it reads
+    if hasattr(args, "data"):  # every command but synth
         data, target = Path(args.data).resolve(), out.resolve()
         if target == data or data in target.parents:
             raise ConfigError(f"--out {args.out} is the --data directory or inside it")
-    if out.is_dir() and any(out.iterdir()):
+    if kind == "tree" and out.is_dir() and any(out.iterdir()):
         raise ConfigError(f"--out {out} is a directory that is not empty")
 
 

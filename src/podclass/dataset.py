@@ -310,29 +310,38 @@ def group_by_class(samples: Iterable[Sample]) -> dict[ClassLabel, list[Sample]]:
 # Disk ingestion / export
 # ---------------------------------------------------------------------------
 
-_FRAME_RE = re.compile(r"\d+\.pgm")
+_FRAME_RE = re.compile(r"[0-9]+\.pgm")
+# Class and sample directory names are manifest fields: UTF-8 (a non-UTF-8
+# byte of a name reads as a lone surrogate) with no tab, CR or LF.
+_BAD_NAME_RE = re.compile("[\t\r\n\ud800-\udfff]")
+
+
+def _subdirs(parent: Path, where: str, kind: str) -> list[Path]:
+    dirs = sorted(p for p in parent.iterdir() if p.is_dir())
+    if not dirs:
+        raise DataError(f"{where} {parent} has no {kind} directories")
+    for path in dirs:
+        if _BAD_NAME_RE.search(path.name):
+            raise DataFormatError(
+                f"{kind} directory {str(path)!r}: not UTF-8, or has a tab, CR or LF"
+            )
+    return dirs
 
 
 def load_dataset(root: str | Path) -> list[Sample]:
     """Load a ``<root>/<class_code>/<sample_id>/<index>.pgm`` tree.
 
-    Classes get ids in sorted directory order; frames are sorted by the
-    integer value of their index, which must be unique within a sample,
-    and rescaled from 8-bit storage to [0, 1].
+    Classes get ids in sorted directory order. A sample's frames are
+    numbered 0 to n - 1 in ASCII digits, each once (leading zeros are
+    allowed), and are rescaled from 8-bit storage to [0, 1].
     """
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} does not exist")
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not class_dirs:
-        raise DataError(f"dataset root {root} has no class directories")
     samples: list[Sample] = []
-    for class_id, class_dir in enumerate(class_dirs):
+    for class_id, class_dir in enumerate(_subdirs(root, "dataset root", "class")):
         label = ClassLabel(class_id, class_dir.name)
-        sample_dirs = sorted(p for p in class_dir.iterdir() if p.is_dir())
-        if not sample_dirs:
-            raise DataError(f"class directory {class_dir} has no sample directories")
-        for sample_dir in sample_dirs:
+        for sample_dir in _subdirs(class_dir, "class directory", "sample"):
             by_index: dict[int, str] = {}
             for name in sorted(p.name for p in sample_dir.iterdir()):
                 if _FRAME_RE.fullmatch(name):
@@ -344,6 +353,11 @@ def load_dataset(root: str | Path) -> list[Sample]:
                         )
             if not by_index:
                 raise DataError(f"sample directory {sample_dir} has no .pgm frames")
+            if max(by_index) != len(by_index) - 1:  # distinct: 0..n-1, or a gap
+                raise DataFormatError(
+                    f"sample directory {sample_dir} numbers its frames up to "
+                    f"{max(by_index)}, not 0 to {len(by_index) - 1}"
+                )
             paths = (os.path.join(sample_dir, by_index[k]) for k in sorted(by_index))
             frames = [to_unit(read_pgm(path)) for path in paths]
             samples.append(Sample(label, sample_dir.name, frames))
@@ -537,40 +551,31 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Sample]:
     background = rng.uniform(0.25, 1.0, size=j)
     background /= np.linalg.norm(background)
 
+    # row k is pattern m = k % rank of class c = k // rank; each row gets its
+    # own 1-D norm, since norm(axis=1) sums in another order
+    values = rng.uniform(0.25, 1.0, size=(n_classes * rank, block))
     patterns = np.zeros((n_classes, j, rank))
-    for c in range(n_classes):
-        for m in range(rank):
-            idx = support[(c * rank + m) * block : (c * rank + m + 1) * block]
-            values = rng.uniform(0.25, 1.0, size=len(idx))
-            patterns[c][idx, m] = values / np.linalg.norm(values)
+    for k, row in enumerate(values):
+        c, m = divmod(k, rank)
+        patterns[c][support[k * block : (k + 1) * block], m] = row / np.linalg.norm(row)
     mixed = patterns + BACKGROUND_WEIGHT * background[None, :, None]
 
+    coeffs = rng.uniform(*COEFF_RANGE, size=(n_classes, spec.frames_per_class, rank))
     n_samples = min(MAX_SAMPLES_PER_CLASS, spec.frames_per_class)
-    frames_of = [spec.frames_per_class // n_samples] * n_samples
-    for i in range(spec.frames_per_class % n_samples):
-        frames_of[i] += 1
-
-    lo, hi = COEFF_RANGE
-    clean: list[list[np.ndarray]] = []
-    for c in range(n_classes):
-        per_class = []
-        for _ in range(spec.frames_per_class):
-            coeffs = rng.uniform(lo, hi, size=rank)
-            per_class.append(mixed[c] @ coeffs)
-        clean.append(per_class)
-    scale = PEAK_INTENSITY / max(vec.max() for cls in clean for vec in cls)
+    # one block of clean rows per recording, class by class; each row is its
+    # own GEMV, since one GEMM would sum in another order
+    recordings = [
+        (c, np.array([mixed[c] @ v for v in part]))
+        for c in range(n_classes)
+        for part in np.array_split(coeffs[c], n_samples)
+    ]
+    scale = PEAK_INTENSITY / max(rows.max() for _, rows in recordings)
 
     samples: list[Sample] = []
-    for c in range(n_classes):
-        label = ClassLabel(c, f"C{c}")
-        cursor = 0
-        for s, count in enumerate(frames_of):
-            frames = []
-            for _ in range(count):
-                pixels = clean[c][cursor] * scale
-                cursor += 1
-                if spec.noise_level > 0:
-                    pixels = pixels + rng.normal(0.0, spec.noise_level, size=j)
-                frames.append(np.clip(pixels, 0.0, 1.0).reshape(side, side))
-            samples.append(Sample(label, f"s{s:02d}", frames))
+    for i, (c, rows) in enumerate(recordings):
+        rows *= scale
+        if spec.noise_level > 0:
+            rows += rng.normal(0.0, spec.noise_level, size=rows.shape)
+        frames = [np.clip(row, 0.0, 1.0).reshape(side, side) for row in rows]
+        samples.append(Sample(ClassLabel(c, f"C{c}"), f"s{i % n_samples:02d}", frames))
     return samples

@@ -45,7 +45,7 @@ def residual_matrix(library: BasisLibrary, images: np.ndarray) -> np.ndarray:
     # numpy sums a contiguous column pairwise, so one frame is one block
     step = BLOCK_ROWS if n > 1 else j
     tail = np.empty((min(step, j) + 1, n))
-    out = np.empty((n, library.class_count))
+    out = np.empty((n, len(library.bases)))
     for column, basis in enumerate(library.bases):
         # the transposed centered rows are the F-ordered GEMM operand that
         # c = vectors - mean would be, so both GEMMs keep their BLAS calls

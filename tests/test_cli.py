@@ -786,6 +786,63 @@ def test_bad_out_exit_2_before_any_work(
         assert (sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)) == before
 
 
+@pytest.mark.parametrize("spelling", ["same", "inside"])
+@pytest.mark.parametrize("command", ["train", "spectrum"])
+def test_out_at_or_inside_data_exit_2_before_reading_data(
+    data_dir, tmp_path, capsys, command, spelling
+):
+    # spectrum --out data/factors used to exit 0, and every later command on
+    # the tree then read factors/ as a class with no samples and exited 3
+    root = tmp_path / "data"
+    shutil.copytree(data_dir, root)
+    before = sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)
+    net = {"train": ["--epochs", "1", "--arch", "2,2,2,2"], "spectrum": []}[command]
+    for data in (root, tmp_path / "absent"):
+        out = data if spelling == "same" else data / "model"
+        assert main([command, "--data", str(data), *net, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out} is the --data directory or inside it\n"
+        assert (sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)) == before
+
+
+def _rename_class(root):
+    (root / "C1").rename(root / "A\tB")
+
+
+def _renumber_from_one(root):
+    sample_dir = root / "C0" / "s00"
+    for path in sorted(sample_dir.glob("*.pgm"), reverse=True):
+        path.rename(sample_dir / f"{int(path.stem) + 1:04d}.pgm")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rename_class, "class directory {tab!r}: not UTF-8, or has a tab, CR or LF"),
+        (
+            _renumber_from_one,
+            "sample directory {s00} numbers its frames up to 3, not 0 to 2",
+        ),
+    ],
+    ids=["tab-in-class-name", "frames-from-1"],
+)
+def test_tree_a_manifest_cannot_name_exit_3_before_writing(
+    data_dir, tmp_path, capsys, edit, message
+):
+    # project used to exit 0 on both: with a tab it wrote a manifest that its
+    # own reader refused; from 1 it renumbered every frame from 0
+    root = tmp_path / "data"
+    shutil.copytree(data_dir, root)
+    (root / "manifest.tsv").unlink()  # the split is drawn from --seed
+    edit(root)
+    message = message.format(tab=str(root / "A\tB"), s00=root / "C0" / "s00")
+    before = sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)
+    out = tmp_path / "proj"
+    assert main(["project", "--data", str(root), "--rank", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (sorted(tmp_path.rglob("*")), _tree_bytes(tmp_path)) == before
+
+
 @pytest.mark.parametrize(
     "flag", [["--rank", "3"], ["--tolerance", "0.2"], ["--gavish"]]
 )

@@ -1,4 +1,5 @@
 import gc
+import os
 import re
 import weakref
 from dataclasses import replace
@@ -421,6 +422,8 @@ def test_load_dataset_orders_unpadded_frames_by_index(tmp_path):
     for k in range(12):
         write_pgm(sample_dir / f"{k}.pgm", np.full((2, 2), k, dtype=np.uint8))
     write_pgm(sample_dir / "12.pgm\n", np.zeros((2, 2), dtype=np.uint8))  # not a frame
+    # nor is 12 in Arabic-Indic digits
+    write_pgm(sample_dir / "\u0661\u0662.pgm", np.zeros((2, 2), dtype=np.uint8))
     (sample,) = load_dataset(tmp_path / "data")
     assert [round(frame[0, 0] * 255) for frame in sample.frames] == list(range(12))
 
@@ -431,6 +434,51 @@ def test_load_dataset_refuses_two_frames_of_one_index(tmp_path):
     for name in ("0.pgm", "1.pgm", "01.pgm"):
         write_pgm(sample_dir / name, np.zeros((2, 2), dtype=np.uint8))
     message = f"{sample_dir} has two frames of one index: 01.pgm and 1.pgm"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_dataset(tmp_path / "data")
+
+
+@pytest.mark.parametrize(
+    "numbers, message",
+    [
+        ((1, 2, 3), "numbers its frames up to 3, not 0 to 2"),
+        ((0, 1, 3), "numbers its frames up to 3, not 0 to 2"),
+        ((0, 2, 10), "numbers its frames up to 10, not 0 to 2"),
+    ],
+    ids=["from-1", "gap", "gaps"],
+)
+def test_load_dataset_refuses_frames_not_numbered_from_zero(tmp_path, numbers, message):
+    # a manifest names a frame by its position; on a tree numbered from 1,
+    # frame 0002 selected 0003.pgm and project renumbered every frame
+    sample_dir = tmp_path / "data" / "C0" / "s00"
+    sample_dir.mkdir(parents=True)
+    for k in numbers:
+        write_pgm(sample_dir / f"{k:04d}.pgm", np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(DataFormatError, match=re.escape(f"{sample_dir} {message}")):
+        load_dataset(tmp_path / "data")
+
+
+@pytest.mark.parametrize(
+    "class_name, sample_name, bad",
+    [
+        ("A\tB", "s00", "class"),
+        (b"C\xff", "s00", "class"),
+        ("C0", "s\r1", "sample"),
+        ("C0", "s\n1", "sample"),
+    ],
+    ids=["tab", "not-utf8", "cr", "lf"],
+)
+def test_load_dataset_refuses_names_a_manifest_cannot_hold(
+    tmp_path, class_name, sample_name, bad
+):
+    # a tab split a manifest line into five fields, and a name that is not
+    # UTF-8 failed only when a writer encoded it, after all the fitting
+    class_name = os.fsdecode(class_name)
+    sample_dir = tmp_path / "data" / class_name / sample_name
+    sample_dir.mkdir(parents=True)
+    write_pgm(sample_dir / "0000.pgm", np.zeros((2, 2), dtype=np.uint8))
+    path = str(sample_dir if bad == "sample" else sample_dir.parent)
+    message = f"{bad} directory {path!r}: not UTF-8, or has a tab, CR or LF"
     with pytest.raises(DataFormatError, match=re.escape(message)):
         load_dataset(tmp_path / "data")
 

@@ -5,15 +5,19 @@ code; these hashes catch a change of field width, endianness or array
 order (column-major for libraries and factors, row-major for checkpoints)
 that both sides would share. The inputs come from seeded generators and
 ``initialize`` alone, with no BLAS call, so they are the same bytes on
-every machine.
+every machine. The ``synth`` trees pin the synthetic generator too; its
+frames pass through BLAS, but their 8-bit quantization absorbs last-bit
+differences between machines.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from podclass.basis import BasisLibrary, ClassBasis, save_factors, save_library
+from podclass.cli import main
 from podclass.convnet import Architecture, initialize, save_checkpoint
 from podclass.dataset import (
     ClassLabel,
@@ -81,3 +85,34 @@ def test_written_bytes_are_pinned(tmp_path, name):
     path = tmp_path / name
     WRITERS[name](path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA256[name]
+
+
+SPECS = {
+    "headline": Path(__file__).resolve().parent.parent / "configs" / "headline.cfg",
+    # no noise, and 37 frames that 12 recordings cannot share evenly
+    "noise0-37": "classes=3\nframes=37\nside=16\nrank=3\nnoise=0\nseed=5\n",
+}
+
+TREE_SHA256 = {
+    "headline": "9a5e55eb2cc73b81a161e28b3d58b0cf24d3bbce0cd223f9cabf8aaf75658c6e",
+    "noise0-37": "11a42cbce14639cd42137c9224d8627eb80c0bf7ff76cdbe96a1d624c1c6752c",
+}
+
+
+def tree_sha256(root):
+    """One digest of every file under ``root``: its path, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_synth_trees_are_pinned(tmp_path, name):
+    spec = SPECS[name]
+    if isinstance(spec, str):
+        (tmp_path / "spec").write_text(spec, encoding="utf-8")
+        spec = tmp_path / "spec"
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "tree")]) == 0
+    assert tree_sha256(tmp_path / "tree") == TREE_SHA256[name]

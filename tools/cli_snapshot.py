@@ -13,8 +13,9 @@ Paths are relative, so two snapshots compare with ``diff -r``:
     diff -r snap-old snap-new
 
 The last commands are refusals; a change to what a refusal prints or
-whether it writes shows up there. This script imports nothing from the
-checkout itself.
+whether it writes shows up there. Two of them read small hand-made trees:
+``tabbed`` has a tab in a class name, and ``from-one`` numbers its frames
+from 1. This script imports nothing from the checkout itself.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ WIDE_SPEC = "classes=3\nframes=150\nside=64\nrank=4\nnoise=0.1\nseed=9\n"
 BAD_SPEC = "classes=1_0\n"
 # one sample in both a training partition and unseen
 OVERLAP_MANIFEST = "train\tC0\ts00\t0000\nunseen\tC0\ts00\t0001\n"
+# hand-made trees: 2 classes x 3 samples x 4 frames of 8x8, by frame file names
+BAD_TREES = {
+    "tabbed": (("A\tB", "C0"), ("0000.pgm", "0001.pgm", "0002.pgm", "0003.pgm")),
+    "from-one": (("C0", "C1"), ("0001.pgm", "0002.pgm", "0003.pgm", "0004.pgm")),
+}
 NET = ["--epochs", "2", "--arch", "4,4,4,8"]
 DATA = ["--data", "data"]
 WIDE = ["--data", "wide"]
@@ -93,8 +99,25 @@ COMMANDS = [
         "refuse-experiment-out-dir",
         ["experiment", *DATA, *NET, "--runs", "1", "--out", "spectrum"],
     ),
+    (
+        "refuse-tab-in-class-name",
+        ["project", "--data", "tabbed", "--rank", "1", "--out", "tabbed-proj"],
+    ),
+    ("refuse-frames-from-1", ["ingest-check", "--data", "from-one"]),
+    ("refuse-spectrum-inside-data", ["spectrum", *WIDE, "--out", "wide/factors"]),
     ("ingest-check-after", ["ingest-check", *DATA]),
 ]
+
+
+def write_tree(root: Path, classes: tuple[str, ...], frames: tuple[str, ...]) -> None:
+    for c, code in enumerate(classes):
+        for s in range(3):
+            sample = root / code / f"s{s:02d}"
+            sample.mkdir(parents=True)
+            for k, name in enumerate(frames):
+                seed = 37 * c + 11 * s + 5 * k
+                raster = bytes((seed + i * i) % 256 for i in range(64))
+                (sample / name).write_bytes(b"P5\n8 8\n255\n" + raster)
 
 
 def main() -> int:
@@ -111,6 +134,8 @@ def main() -> int:
     (out / "wide.spec").write_text(WIDE_SPEC, encoding="utf-8")
     (out / "bad.spec").write_text(BAD_SPEC, encoding="utf-8")
     (out / "overlap.tsv").write_text(OVERLAP_MANIFEST, encoding="utf-8")
+    for name, (classes, frames) in BAD_TREES.items():
+        write_tree(out / name, classes, frames)
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     for number, (name, argv) in enumerate(COMMANDS, 1):
         done = subprocess.run(
