@@ -288,6 +288,9 @@ def cmd_project(args) -> int:
     out = Path(args.out)
     rule = _rule(args)
     samples, split = _load_split(args)
+    trained = {label for _, label in split.train}  # every class is projected
+    if missing := [c.code for c in split.metadata.classes if c not in trained]:
+        raise DataError(f"class {missing[0]} has no train frames to fit a basis")
     library = _train_library(split, rule)
     for s in samples:  # one sample's projections in memory at a time
         pairs = project_pairs(library, [(frame, s.label) for frame in s.frames])
@@ -302,9 +305,10 @@ def cmd_train(args) -> int:
     config = _network_config(args, runs=1)  # one network, from --seed
     _check_out(args, "dir")
     split = _load_split(args)[1]
+    arch = config.architecture(split.metadata)
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
     result, scores = train_and_score(
-        split.metadata, data, config, args.seed, validate_every_epoch=True
+        arch, data, config.train_config(), validate_every_epoch=True
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -293,23 +293,17 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(images: np.ndarray) -> np.ndarray:
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[:, :, :, None]
-    if images.ndim != 4 or images.shape[3] != 1:
-        raise DataFormatError(
-            f"expected a (N, H, W) grayscale batch, got shape {images.shape}"
-        )
-    return images
-
-
 def forward(
     params: Params, images: np.ndarray, cache: dict | None = None
 ) -> np.ndarray:
     """Logits for a batch. Given a ``cache`` dict (training), fills it with
     what the backward pass needs; without one, keeps nothing."""
-    x = _as_batch(images)
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim != 3:
+        raise DataFormatError(
+            f"expected a (N, H, W) grayscale batch, got shape {x.shape}"
+        )
+    x = x[:, :, :, None]
     n = x.shape[0]
     for i in (1, 2, 3):
         kernel, bias = getattr(params, f"kernel{i}"), getattr(params, f"bias{i}")

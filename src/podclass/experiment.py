@@ -24,7 +24,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .dataset import PARTITIONS, DatasetSplit, SplitMetadata, partition_arrays
 from .errors import CapacityError, ConfigError
 from .metrics import accuracy, aggregate, confusion_matrix
 from .subspace import classify_pairs
-from .svd import TruncationRule, _openblas_threads
+from .svd import TruncationRule, _openblas_threads, one_blas_thread
 
 EVAL_PARTITIONS = ("validation", "test", "unseen")
 
@@ -79,6 +79,12 @@ class ExperimentConfig:
     def train_config(self) -> convnet.TrainConfig:
         return convnet.TrainConfig(self.epochs, self.batch_size, self.learning_rate)
 
+    def architecture(self, metadata: SplitMetadata) -> convnet.Architecture:
+        """The seeded network for a split, which refuses one none can train."""
+        h, w = metadata.frame_shape
+        classes, seed = len(metadata.classes), self.seed
+        return convnet.Architecture(h, w, self.channels, self.hidden, classes, seed)
+
 
 def _arm_name(rule: TruncationRule) -> str:
     if rule.rank is not None:
@@ -106,15 +112,13 @@ def baseline_report(library: BasisLibrary, split: DatasetSplit) -> dict:
 
 
 def train_and_score(
-    metadata: SplitMetadata,
+    arch: convnet.Architecture,
     data: dict[str, tuple[np.ndarray, np.ndarray]],
-    config: ExperimentConfig,
-    seed: int,
+    train_config: convnet.TrainConfig,
     validate_every_epoch: bool,
 ) -> tuple[convnet.TrainResult, dict[str, float]]:
-    """Train one network from ``seed`` on ``data["train"]`` and score it on
-    every evaluation partition present. The architecture carries ``seed``,
-    from which weight initialization and epoch shuffles both draw.
+    """Train ``arch`` (weights and epoch shuffles from ``arch.seed``) on
+    ``data["train"]`` and score it on every evaluation partition present.
 
     ``data["validation"]``, when present, is scored after every epoch if
     ``validate_every_epoch``, else once on the final parameters; either
@@ -123,15 +127,11 @@ def train_and_score(
     """
     if "train" not in data:
         raise CapacityError("training needs a nonempty train partition")
-    h, w = metadata.frame_shape
-    arch = convnet.Architecture(
-        h, w, config.channels, config.hidden, len(metadata.classes), seed
-    )
     validation = data.get("validation")
     result = convnet.train(
         arch,
         *data["train"],
-        config.train_config(),
+        train_config,
         validation=validation if validate_every_epoch else None,
     )
     scores = {}
@@ -148,18 +148,17 @@ def train_and_score(
     return result, scores
 
 
-def _train_and_score(
-    metadata: SplitMetadata,
+def _network_row(
+    arch: convnet.Architecture,
     data: dict[str, tuple[np.ndarray, np.ndarray]],
-    config: ExperimentConfig,
-    seed: int,
+    train_config: convnet.TrainConfig,
 ) -> dict:
     """One network of one arm as a report row, which keeps only the last
     epoch's history, so validation runs once."""
     result, scores = train_and_score(
-        metadata, data, config, seed, validate_every_epoch=False
+        arch, data, train_config, validate_every_epoch=False
     )
-    return {"seed": seed, "final": result.history[-1], **scores}
+    return {"seed": arch.seed, "final": result.history[-1], **scores}
 
 
 def _worker_count(jobs: int) -> int:
@@ -206,16 +205,16 @@ def _start_worker(jobs: list) -> None:
 
 
 def _run_worker_job(index: int) -> dict:
-    return _train_and_score(*_worker_jobs[index])
+    return _network_row(*_worker_jobs[index])
 
 
 def _network_runs(
-    metadata: SplitMetadata,
+    arch: convnet.Architecture,
     arm_data: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]],
     config: ExperimentConfig,
 ) -> dict[str, dict]:
-    """Per arm, ``config.runs`` networks (seeds base seed + run index) and
-    the aggregate of their accuracies per partition.
+    """Per arm, ``config.runs`` networks of ``arch`` (seeds base seed + run
+    index) and the aggregate of their accuracies per partition.
 
     Every (arm, seed) network is a pure function of its inputs, so they
     train in forked worker processes, which inherit the inputs instead of
@@ -224,13 +223,14 @@ def _network_runs(
     order to raise decides the exception.
     """
     jobs = [
-        (metadata, data, config, config.seed + i)
+        (replace(arch, seed=config.seed + i), data, config.train_config())
         for data in arm_data.values()
         for i in range(config.runs)
     ]
     workers = _worker_count(len(jobs))
     if workers == 1:
-        rows = [_train_and_score(*job) for job in jobs]
+        with one_blas_thread():  # as in the workers, so rows do not move
+            rows = [_network_row(*job) for job in jobs]
     else:
         # Imported only here: in a process that trains nothing (the disk
         # pipeline), importing multiprocessing moved glibc's dynamic mmap
@@ -263,9 +263,11 @@ def _network_runs(
 
 
 def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
-    """Execute every arm and assemble the deterministic report. Each class
-    is fitted once, each distinct rule gives one library and one baseline,
-    and the fits are freed before any arm's data is built."""
+    """Execute every arm and assemble the deterministic report. The network
+    is built first, so a split none can train is refused before any fit.
+    Each class is fitted once, each distinct rule gives one library and one
+    baseline, and the fits are freed before any arm's data is built."""
+    arch = config.architecture(split.metadata)
     fits = fit_classes(split.train)
     libraries = {
         rule: library_from_fits(
@@ -293,7 +295,7 @@ def run_experiment(split: DatasetSplit, config: ExperimentConfig) -> dict:
             "warnings": library.provenance["warnings"],
         }
 
-    for name, network in _network_runs(split.metadata, arm_data, config).items():
+    for name, network in _network_runs(arch, arm_data, config).items():
         arms[name]["network"] = network
 
     report = {

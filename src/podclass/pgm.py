@@ -6,6 +6,7 @@ without any imaging dependency.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,24 +14,16 @@ import numpy as np
 from .errors import DataError, DataFormatError
 
 
+# whitespace and '#' comments (each to the end of its line), then one token;
+# the lookahead keeps a comment from giving back its tail as a token
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines between header fields
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if match is None:
         raise DataFormatError("unexpected end of PGM header")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -8,6 +8,7 @@ comparable bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -77,28 +78,33 @@ def _openblas_threads():
     return None
 
 
-def thin_svd(matrix: np.ndarray) -> ThinSVD:
-    """Thin SVD with zero-modes dropped and the sign convention applied.
-
-    LAPACK runs on one OpenBLAS thread, whose sums do not depend on the
-    core count; the caller's thread count is restored afterwards."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ConfigError(f"need a nonempty 2-D matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise NumericError("matrix contains non-finite entries")
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, whose sums do not depend on the
+    core count, and restore the caller's thread count afterwards."""
     # without OpenBLAS the count reads 1 and nothing is set
     get_threads, set_threads = _openblas_threads() or (lambda: 1, None)
     count = get_threads()
     if count > 1:
         set_threads(1)
     try:
-        modes, values, vt = np.linalg.svd(matrix, full_matrices=False)
+        yield
     finally:
         if count > 1:
             set_threads(count)
-    keep = values > RELATIVE_CUTOFF * values[0] if values[0] > 0 else values > 0
-    r = int(np.count_nonzero(keep))
+
+
+def thin_svd(matrix: np.ndarray) -> ThinSVD:
+    """Thin SVD, LAPACK on :func:`one_blas_thread`, with zero-modes dropped
+    and the sign convention applied."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ConfigError(f"need a nonempty 2-D matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise NumericError("matrix contains non-finite entries")
+    with one_blas_thread():
+        modes, values, vt = np.linalg.svd(matrix, full_matrices=False)
+    r = int(np.count_nonzero(values > RELATIVE_CUTOFF * values[0]))
     if r == 0:
         raise NumericError("matrix is numerically zero; no singular modes")
     modes = modes[:, :r].copy()

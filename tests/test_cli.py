@@ -597,6 +597,29 @@ def test_class_missing_from_train_exit_3(
     assert not (tmp_path / "out").exists()
 
 
+def test_project_class_without_train_frames_exit_3_before_writing(
+    data_dir, tmp_path, capsys, monkeypatch
+):
+    # project used to write every sample of C0 and C1, then exit 2 with
+    # "no basis for class id 2", leaving a tree with no manifest
+    def never(*args, **kwargs):
+        raise AssertionError("fitted a split that project cannot write")
+
+    monkeypatch.setattr(basis, "fit_class", never)
+    lines = (data_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{line}\n" for line in lines if "\tC2\t" not in line),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    args = ["project", "--data", str(data_dir), "--manifest", str(manifest)]
+    assert main([*args, "--rank", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: class C2 has no train frames to fit a basis\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tolerance", ["1.5", "nan"])
 def test_experiment_bad_tolerance_exit_2_before_reading_data(
     tmp_path, capsys, tolerance

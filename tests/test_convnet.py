@@ -648,6 +648,8 @@ def test_forward_rejects_bad_shapes():
     params = initialize(TINY)
     with pytest.raises(DataFormatError):
         convnet.forward(params, np.zeros((2, 8, 8, 3)))
+    with pytest.raises(DataFormatError):  # (N, H, W) only
+        convnet.forward(params, np.zeros((2, 8, 8, 1)))
 
 
 # -- BLAS threads ------------------------------------------------------------

@@ -12,6 +12,7 @@ from podclass import basis, convnet, experiment, svd
 from podclass.basis import build_library, project_pairs
 from podclass.dataset import (
     PARTITIONS,
+    Sample,
     SplitPolicy,
     SyntheticSpec,
     generate_synthetic,
@@ -248,6 +249,34 @@ def test_no_warnings_above_the_noise_edge(small_report):
         assert arm["warnings"] == []
 
 
+@pytest.mark.parametrize(
+    "classes, side, message",
+    [
+        (1, 16, "need classes >= 2"),
+        (3, 4, "images must be at least 8x8 to survive three pools"),
+    ],
+    ids=["one-class", "4x4-frames"],
+)
+def test_a_split_no_network_can_train_is_refused_before_any_fit(
+    tiny_samples, small_config, monkeypatch, classes, side, message
+):
+    # the network used to be built in each training job, after every fit,
+    # baseline and projection
+    def never(*args):
+        raise AssertionError("fitted a split that no network can train")
+
+    monkeypatch.setattr(experiment, "fit_classes", never)
+    samples = [
+        Sample(s.label, s.sample_id, [frame[:side, :side] for frame in s.frames])
+        for s in tiny_samples
+        if s.label.id < classes
+    ]
+    split = split_dataset(samples, SplitPolicy.for_samples(samples), seed=2)
+    with pytest.raises(ConfigError) as caught:
+        run_experiment(split, small_config)
+    assert str(caught.value) == message
+
+
 # -- training processes -------------------------------------------------------
 
 
@@ -287,12 +316,12 @@ def test_reports_are_identical_without_sched_getaffinity(
 def test_networks_train_in_worker_processes_on_more_than_one_cpu(
     tiny_split, small_config, monkeypatch
 ):
-    train_and_score = experiment._train_and_score
+    network_row = experiment._network_row
 
     def with_pid(*args):
-        return {**train_and_score(*args), "pid": os.getpid()}
+        return {**network_row(*args), "pid": os.getpid()}
 
-    monkeypatch.setattr(experiment, "_train_and_score", with_pid)
+    monkeypatch.setattr(experiment, "_network_row", with_pid)
     for count, in_parent in ((1, True), (2, False)):
         _cpus(monkeypatch, count)
         report = run_experiment(tiny_split, small_config)
@@ -301,6 +330,31 @@ def test_networks_train_in_worker_processes_on_more_than_one_cpu(
         assert len(pids) == 4
         assert all((pid == os.getpid()) == in_parent for pid in pids)
         assert multiprocessing.active_children() == []
+
+
+@needs_workers
+def test_one_worker_trains_on_one_blas_thread_and_restores_the_count(
+    tiny_split, small_config, monkeypatch
+):
+    # the in-process path used to train on the caller's thread count, whose
+    # sums can differ from those of the workers' one thread
+    get_threads, set_threads = svd._openblas_threads()
+    network_row = experiment._network_row
+    seen = []
+
+    def recording(*args):
+        seen.append(get_threads())
+        return network_row(*args)
+
+    monkeypatch.setattr(experiment, "_network_row", recording)
+    _cpus(monkeypatch, 1)
+    before = get_threads()
+    try:
+        set_threads(2)
+        run_experiment(tiny_split, small_config)
+        assert seen == [1] * 4 and get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 @pytest.mark.parametrize("count", [1, 2])

@@ -43,6 +43,20 @@ def test_header_with_comments(tmp_path):
     assert read_pgm(path).shape == (2, 3)
 
 
+def test_rejects_a_comment_that_runs_to_the_end_of_the_header(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n3 2\n# 255")
+    with pytest.raises(DataFormatError, match="unexpected end of PGM header"):
+        read_pgm(path)
+
+
+def test_hash_inside_a_token_does_not_start_a_comment(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n3#x 2\n255\n" + bytes(6))
+    with pytest.raises(DataFormatError, match=r"width b'3#x' is not ASCII digits"):
+        read_pgm(path)
+
+
 def test_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")

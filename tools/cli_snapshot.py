@@ -13,9 +13,10 @@ Paths are relative, so two snapshots compare with ``diff -r``:
     diff -r snap-old snap-new
 
 The last commands are refusals; a change to what a refusal prints or
-whether it writes shows up there. Two of them read small hand-made trees:
-``tabbed`` has a tab in a class name, and ``from-one`` numbers its frames
-from 1. This script imports nothing from the checkout itself.
+whether it writes shows up there. Three of them read small hand-made
+trees: ``tabbed`` has a tab in a class name, ``from-one`` numbers its
+frames from 1, and ``three``'s manifest ``no-c2.tsv`` names no frame of
+class C2. This script imports nothing from the checkout itself.
 """
 
 from __future__ import annotations
@@ -32,11 +33,20 @@ WIDE_SPEC = "classes=3\nframes=150\nside=64\nrank=4\nnoise=0.1\nseed=9\n"
 BAD_SPEC = "classes=1_0\n"
 # one sample in both a training partition and unseen
 OVERLAP_MANIFEST = "train\tC0\ts00\t0000\nunseen\tC0\ts00\t0001\n"
-# hand-made trees: 2 classes x 3 samples x 4 frames of 8x8, by frame file names
+# hand-made trees: classes x 3 samples x 4 frames of 8x8, by frame file names
+FRAMES = ("0000.pgm", "0001.pgm", "0002.pgm", "0003.pgm")
 BAD_TREES = {
-    "tabbed": (("A\tB", "C0"), ("0000.pgm", "0001.pgm", "0002.pgm", "0003.pgm")),
+    "tabbed": (("A\tB", "C0"), FRAMES),
     "from-one": (("C0", "C1"), ("0001.pgm", "0002.pgm", "0003.pgm", "0004.pgm")),
+    "three": (("C0", "C1", "C2"), FRAMES),
 }
+# a split of ``three`` that gives class C2 no frame at all
+NO_C2_MANIFEST = "".join(
+    f"{part}\t{code}\t{sample}\t{frame:04d}\n"
+    for code in ("C0", "C1")
+    for part, sample in (("train", "s00"), ("validation", "s01"), ("unseen", "s02"))
+    for frame in range(4)
+)
 NET = ["--epochs", "2", "--arch", "4,4,4,8"]
 DATA = ["--data", "data"]
 WIDE = ["--data", "wide"]
@@ -105,6 +115,11 @@ COMMANDS = [
     ),
     ("refuse-frames-from-1", ["ingest-check", "--data", "from-one"]),
     ("refuse-spectrum-inside-data", ["spectrum", *WIDE, "--out", "wide/factors"]),
+    (
+        "refuse-project-class-without-train-frames",
+        ["project", "--data", "three", "--manifest", "no-c2.tsv", "--rank", "1",
+         "--out", "three-proj"],
+    ),
     ("ingest-check-after", ["ingest-check", *DATA]),
 ]
 
@@ -134,6 +149,7 @@ def main() -> int:
     (out / "wide.spec").write_text(WIDE_SPEC, encoding="utf-8")
     (out / "bad.spec").write_text(BAD_SPEC, encoding="utf-8")
     (out / "overlap.tsv").write_text(OVERLAP_MANIFEST, encoding="utf-8")
+    (out / "no-c2.tsv").write_text(NO_C2_MANIFEST, encoding="utf-8")
     for name, (classes, frames) in BAD_TREES.items():
         write_tree(out / name, classes, frames)
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
