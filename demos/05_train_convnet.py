@@ -1,8 +1,8 @@
 """Train the small convolutional network on synthetic frames.
 
 Everything is float64 numpy with explicit backpropagation; a run is a
-pure function of architecture seed, shuffle seed, and data, so training
-twice gives bit-identical weights.
+pure function of the architecture (whose seed draws the weights and the
+epoch shuffles) and the data, so training twice gives bit-identical weights.
 """
 
 import numpy as np
@@ -31,20 +31,19 @@ arch = convnet.Architecture(
     classes=len(split.metadata.classes), seed=0,
 )
 config = convnet.TrainConfig(epochs=12, batch_size=32, learning_rate=1e-3)
-result = convnet.train(arch, train_images, train_labels, config, validation=val)
+params, history = convnet.train(
+    arch, train_images, train_labels, config, validation=val
+)
 
-for row in result.history[::3] + [result.history[-1]]:
+for row in history[::3] + [history[-1]]:
     print(f"epoch {row['epoch']:2d}: "
           f"train loss {row['train_loss']:.3f} acc {row['train_accuracy']:.3f}  "
           f"val loss {row['validation_loss']:.3f} acc {row['validation_accuracy']:.3f}")
 
-again = convnet.train(arch, train_images, train_labels, config, validation=val)
-identical = all(
-    np.array_equal(a, b)
-    for a, b in zip(result.params, again.params)
-)
+again, _ = convnet.train(arch, train_images, train_labels, config, validation=val)
+identical = all(np.array_equal(a, b) for a, b in zip(params, again))
 print(f"\nretraining with the same seeds is bit-identical: {identical}")
 
 images, labels = partition_arrays(split.unseen)
-predicted = convnet.predict(result.params, images)
+predicted = convnet.predict(params, images)
 print(f"unseen accuracy: {(predicted == labels).mean():.3f}")

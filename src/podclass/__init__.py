@@ -24,7 +24,6 @@ from .convnet import (
     Architecture,
     Params,
     TrainConfig,
-    TrainResult,
     initialize,
     load_checkpoint,
     rmsprop_step,
@@ -83,7 +82,6 @@ __all__ = [
     "SyntheticSpec",
     "ThinSVD",
     "TrainConfig",
-    "TrainResult",
     "TruncationRule",
     "accuracy",
     "aggregate",

@@ -98,10 +98,13 @@ def _rule(args) -> TruncationRule:
 
 
 def _train_library(split: DatasetSplit, rule: TruncationRule) -> BasisLibrary:
-    """The library of the train partition under ``rule``."""
-    meta = split.metadata
-    source = f"train partition of {meta.view}"
-    return library_from_fits(fit_classes(split.train), meta.frame_shape, rule, source)
+    """The library of the train partition under ``rule``; prints its warnings."""
+    source = f"train partition of {split.metadata.view}"
+    fits = fit_classes(split.train)
+    library = library_from_fits(fits, split.metadata.frame_shape, rule, source)
+    for note in library.provenance["warnings"]:
+        print(f"warning: {note}", file=sys.stderr)
+    return library
 
 
 def _saved_library(path: str, split: DatasetSplit) -> BasisLibrary:
@@ -251,8 +254,6 @@ def cmd_build_basis(args) -> int:
     save_library(library, args.out)
     for basis in library.bases:
         print(f"{basis.label.code}: rank {basis.rank}")
-    for note in library.provenance["warnings"]:
-        print(f"warning: {note}", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 
@@ -307,15 +308,15 @@ def cmd_train(args) -> int:
     split = _load_split(args)[1]
     arch = config.architecture(split.metadata)
     data = {n: partition_arrays(p) for n in PARTITIONS if (p := split.partition(n))}
-    result, scores = train_and_score(
+    params, history, scores = train_and_score(
         arch, data, config.train_config(), validate_every_epoch=True
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    convnet.save_checkpoint(result.arch, result.params, out / "checkpoint.bin")
-    save_report(result.history, out / "history.json")
+    convnet.save_checkpoint(arch, params, out / "checkpoint.bin")
+    save_report(history, out / "history.json")
     save_report(scores, out / "evaluation.json")
-    last = result.history[-1]
+    last = history[-1]
     print(
         f"epochs={args.epochs} final train accuracy {last['train_accuracy']:.3g}"
     )

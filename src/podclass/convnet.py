@@ -417,13 +417,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive and finite")
 
 
-@dataclass
-class TrainResult:
-    arch: Architecture
-    params: Params
-    history: list[dict]
-
-
 def _inference_logits(params: Params, images: np.ndarray):
     """``(start, logits)`` per ``INFERENCE_BATCH`` frames; non-finite ones raise."""
     for start in range(0, len(images), INFERENCE_BATCH):
@@ -433,16 +426,27 @@ def _inference_logits(params: Params, images: np.ndarray):
         yield start, logits
 
 
+def _check_labeled(
+    images: np.ndarray, labels: np.ndarray, classes: int, verb: str, noun: str
+) -> None:
+    """Refuse a labeled set unless its labels match the images in number,
+    are not empty and lie in ``range(classes)``; ``verb`` and ``noun`` name its use."""
+    n = labels.size
+    if len(images) != n:
+        raise ConfigError(f"{len(images)} images but {n} labels")
+    if n == 0:
+        raise ConfigError(f"cannot {verb} on an empty set")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ConfigError(f"{noun} labels outside the architecture's class range")
+
+
 def evaluate_network(
     params: Params, images: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over a labeled set, computed in batches."""
     labels = np.asarray(labels)
+    _check_labeled(images, labels, params.output_bias.size, "evaluate", "evaluation")
     n = labels.size
-    if len(images) != n:
-        raise ConfigError(f"{len(images)} images but {n} labels")
-    if n == 0:
-        raise ConfigError("cannot evaluate on an empty set")
     total_loss = 0.0
     correct = 0
     for start, logits in _inference_logits(params, images):
@@ -464,7 +468,7 @@ def train(
     train_labels: np.ndarray,
     config: TrainConfig,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TrainResult:
+) -> tuple[Params, list[dict]]:
     """Minibatch RMSprop from a fresh He initialization.
 
     Each epoch shuffles the training set with a generator seeded by
@@ -475,13 +479,8 @@ def train(
     """
     train_images = np.asarray(train_images, dtype=np.float64)
     train_labels = np.asarray(train_labels)
+    _check_labeled(train_images, train_labels, arch.classes, "train", "training")
     n = train_labels.size
-    if len(train_images) != n:
-        raise ConfigError(f"{len(train_images)} images but {n} labels")
-    if n == 0:
-        raise ConfigError("cannot train on an empty set")
-    if train_labels.min() < 0 or train_labels.max() >= arch.classes:
-        raise ConfigError("training labels outside the architecture's class range")
     params = initialize(arch)
     squares = Params(*map(np.zeros_like, params))
     shuffler = np.random.default_rng(arch.seed)
@@ -512,7 +511,7 @@ def train(
             row["validation_loss"] = val_loss
             row["validation_accuracy"] = val_acc
         history.append(row)
-    return TrainResult(arch=arch, params=params, history=history)
+    return params, history
 
 
 # ---------------------------------------------------------------------------

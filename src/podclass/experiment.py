@@ -116,7 +116,7 @@ def train_and_score(
     data: dict[str, tuple[np.ndarray, np.ndarray]],
     train_config: convnet.TrainConfig,
     validate_every_epoch: bool,
-) -> tuple[convnet.TrainResult, dict[str, float]]:
+) -> tuple[convnet.Params, list[dict], dict[str, float]]:
     """Train ``arch`` (weights and epoch shuffles from ``arch.seed``) on
     ``data["train"]`` and score it on every evaluation partition present.
 
@@ -128,7 +128,7 @@ def train_and_score(
     if "train" not in data:
         raise CapacityError("training needs a nonempty train partition")
     validation = data.get("validation")
-    result = convnet.train(
+    params, history = convnet.train(
         arch,
         *data["train"],
         train_config,
@@ -136,16 +136,16 @@ def train_and_score(
     )
     scores = {}
     if validation is not None:
-        last = result.history[-1]
+        last = history[-1]
         if not validate_every_epoch:
-            loss, acc = convnet.evaluate_network(result.params, *validation)
+            loss, acc = convnet.evaluate_network(params, *validation)
             last.update(validation_loss=loss, validation_accuracy=acc)
         scores["validation"] = last["validation_accuracy"]
     for name in ("test", "unseen"):
         if name in data:
             images, labels = data[name]
-            scores[name] = accuracy(labels, convnet.predict(result.params, images))
-    return result, scores
+            scores[name] = accuracy(labels, convnet.predict(params, images))
+    return params, history, scores
 
 
 def _network_row(
@@ -155,10 +155,10 @@ def _network_row(
 ) -> dict:
     """One network of one arm as a report row, which keeps only the last
     epoch's history, so validation runs once."""
-    result, scores = train_and_score(
+    _, history, scores = train_and_score(
         arch, data, train_config, validate_every_epoch=False
     )
-    return {"seed": arch.seed, "final": result.history[-1], **scores}
+    return {"seed": arch.seed, "final": history[-1], **scores}
 
 
 def _worker_count(jobs: int) -> int:

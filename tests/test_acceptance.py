@@ -266,12 +266,12 @@ def test_network_overfits_small_labeled_set():
         height=16, width=16, channels=(8, 8, 8), hidden=16, classes=2, seed=0
     )
     config = convnet.TrainConfig(epochs=30, batch_size=8, learning_rate=3e-3)
-    result = convnet.train(arch, images, labels, config)
-    best = max(row["train_accuracy"] for row in result.history)
+    params, history = convnet.train(arch, images, labels, config)
+    best = max(row["train_accuracy"] for row in history)
     first = next(
-        (row["epoch"] for row in result.history if row["train_accuracy"] == 1.0), None
+        (row["epoch"] for row in history if row["train_accuracy"] == 1.0), None
     )
-    final = convnet.evaluate_network(result.params, images, labels)[1]
+    final = convnet.evaluate_network(params, images, labels)[1]
     ok = best == 1.0
     _record(
         "overfit-sanity",

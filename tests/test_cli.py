@@ -287,6 +287,18 @@ def test_experiment_prints_library_warnings(noisy_dir, tmp_path, capsys):
     assert sorted(lines) == sorted(f"warning: {note}" for note in notes)
 
 
+def test_project_and_evaluate_print_library_warnings(noisy_dir, tmp_path, capsys):
+    # both used to build the library that build-basis builds without a word
+    lib = tmp_path / "lib.bin"
+    assert main(["build-basis", "--data", str(noisy_dir), "--out", str(lib)]) == 0
+    warnings = capsys.readouterr().err
+    assert warnings.count("fell back to rank 1") == 2
+    for command, out in (("project", "proj"), ("evaluate", "report.json")):
+        args = [command, "--data", str(noisy_dir), "--out", str(tmp_path / out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == warnings
+
+
 def test_bad_arguments_exit_2(data_dir):
     assert main(
         ["build-basis", "--data", str(data_dir), "--rank", "0", "--out", "/tmp/x"]
@@ -554,6 +566,41 @@ def test_evaluate_library_class_roster_mismatch_exit_2(data_dir, tmp_path, capsy
     assert err == f"error: evaluated class C2 (id 2) has no basis in library {small}\n"
 
 
+def test_evaluate_library_frame_shape_mismatch_exit_2(data_dir, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(
+        "classes=3\nframes=36\nside=8\nrank=3\nnoise=0.1\nseed=9\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "eight")]) == 0
+    lib = tmp_path / "lib.bin"
+    args = ["--data", str(tmp_path / "eight"), "--rank", "2", "--out", str(lib)]
+    assert main(["build-basis", *args]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data_dir), "--library", str(lib)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: library frame shape (8, 8) does not match dataset (16, 16)\n"
+
+
+def test_spectrum_degenerate_class_writes_no_factors(data_dir, tmp_path, capsys):
+    root = tmp_path / "flat"
+    shutil.copytree(data_dir, root)  # with the manifest: the same split
+    frames = sorted((root / "C0").glob("*/*.pgm"))
+    for path in frames[1:]:
+        shutil.copyfile(frames[0], path)
+    out = tmp_path / "factors"
+    assert main(["spectrum", "--data", str(root), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "C0: degenerate ensemble, canonical basis\n" in captured.out
+    lines = (root / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    trained = sum(line.startswith("train\tC0\t") for line in lines)
+    assert captured.err == (
+        f"warning: class C0: all {trained} frames identical; "
+        "using canonical one-mode basis\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["C1.factors", "C2.factors"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -657,6 +704,8 @@ _TOLERANCE = "energy tolerance must be in [0, 1), got "
         (["train", "--arch", "4,4,4,0"], _HIDDEN),
         (["experiment", "--arch", "4,-1,4,8"], _CHANNELS),
         (["experiment", "--arch", "4,4,4,-2"], _HIDDEN),
+        (["train", "--arch", "a,b,c,d"], "--arch wants four integers, got 'a,b,c,d'"),
+        (["experiment", "--runs", "0"], "need at least one run"),
     ],
 )
 def test_bad_settings_exit_2_before_reading_data(tmp_path, capsys, args, message):

@@ -446,9 +446,9 @@ def test_inference_forward_matches_training_forward(rng):
     # final parameters, which is what an experiment report row carries
     labels = rng.integers(0, 3, size=5)
     cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-2)
-    result = train(arch, images, labels, cfg, validation=(images, labels))
-    predicted = convnet.predict(result.params, images)
-    assert result.history[-1]["validation_accuracy"] == accuracy(labels, predicted)
+    params, history = train(arch, images, labels, cfg, validation=(images, labels))
+    predicted = convnet.predict(params, images)
+    assert history[-1]["validation_accuracy"] == accuracy(labels, predicted)
 
 
 def test_conv_backward_can_skip_the_input_gradient(rng):
@@ -585,10 +585,10 @@ def test_training_is_deterministic():
     images, labels = toy_problem()
     arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=2, seed=5)
     cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-3)
-    a = train(arch, images, labels, cfg)
-    b = train(arch, images, labels, cfg)
-    assert a.history == b.history
-    for x, y in zip(a.params, b.params):
+    a_params, a_history = train(arch, images, labels, cfg)
+    b_params, b_history = train(arch, images, labels, cfg)
+    assert a_history == b_history
+    for x, y in zip(a_params, b_params):
         assert np.array_equal(x, y)
 
 
@@ -596,18 +596,18 @@ def test_training_handles_short_final_batch():
     images, labels = toy_problem(n=37)
     arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=2, seed=0)
     cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3)
-    result = train(arch, images, labels, cfg)
+    _, history = train(arch, images, labels, cfg)
     # 37 = 16 + 16 + 5; the accuracy denominator must cover all 37
-    assert result.history[0]["train_accuracy"] <= 1.0
-    assert len(result.history) == 1
+    assert history[0]["train_accuracy"] <= 1.0
+    assert len(history) == 1
 
 
 def test_training_reports_validation_metrics():
     images, labels = toy_problem()
     arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=2, seed=0)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3)
-    result = train(arch, images, labels, cfg, validation=(images, labels))
-    for row in result.history:
+    _, history = train(arch, images, labels, cfg, validation=(images, labels))
+    for row in history:
         assert "validation_loss" in row and "validation_accuracy" in row
 
 
@@ -615,8 +615,8 @@ def test_training_overfits_toy():
     images, labels = toy_problem(n=50)
     arch = Architecture(8, 8, channels=(4, 8, 8), hidden=16, classes=2, seed=1)
     cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=1e-3)
-    result = train(arch, images, labels, cfg)
-    assert max(row["train_accuracy"] for row in result.history) == 1.0
+    _, history = train(arch, images, labels, cfg)
+    assert max(row["train_accuracy"] for row in history) == 1.0
 
 
 def test_train_rejects_label_overflow():
@@ -738,4 +738,18 @@ def test_images_and_labels_of_different_lengths_are_refused(image_count):
     with pytest.raises(ConfigError, match=message):
         evaluate_network(initialize(arch), images, labels)
     with pytest.raises(ConfigError, match=message):
+        train(arch, images, labels, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("last", [-1, 3], ids=["negative", "past-the-last-class"])
+def test_labels_outside_the_class_range_are_refused(rng, last):
+    # evaluate_network scored a -1 against the last class and raised a bare
+    # IndexError on a 3; train refused both
+    arch = Architecture(8, 8, channels=(2, 2, 2), hidden=4, classes=3, seed=0)
+    images = rng.uniform(0, 1, size=(4, 8, 8))
+    labels = np.array([0, 1, 2, last])
+    outside = "labels outside the architecture's class range$"
+    with pytest.raises(ConfigError, match="^evaluation " + outside):
+        evaluate_network(initialize(arch), images, labels)
+    with pytest.raises(ConfigError, match="^training " + outside):
         train(arch, images, labels, TrainConfig(epochs=1))

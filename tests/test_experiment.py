@@ -416,10 +416,10 @@ def test_final_row_is_the_last_row_of_per_epoch_validation(
         for row in small_report["arms"][arm]["network"]["runs"]:
             seed = row["seed"]
             arch = convnet.Architecture(h, w, c.channels, c.hidden, 3, seed)
-            history = convnet.train(
+            _, history = convnet.train(
                 arch, *data["train"], c.train_config(),
                 validation=data["validation"],
-            ).history
+            )
             assert json.dumps(row["final"]) == json.dumps(history[-1])
             assert row["validation"] == history[-1]["validation_accuracy"]
 

@@ -12,11 +12,12 @@ Paths are relative, so two snapshots compare with ``diff -r``:
     python3 tools/cli_snapshot.py .            snap-new
     diff -r snap-old snap-new
 
-The last commands are refusals; a change to what a refusal prints or
-whether it writes shows up there. Three of them read small hand-made
+The commands near the end are refusals; a change to what a refusal prints
+or whether it writes shows up there. Three of them read small hand-made
 trees: ``tabbed`` has a tab in a class name, ``from-one`` numbers its
 frames from 1, and ``three``'s manifest ``no-c2.tsv`` names no frame of
-class C2. This script imports nothing from the checkout itself.
+class C2. Commands added later go at the end, so that earlier logs keep
+their numbers. This script imports nothing from the checkout itself.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ COMMANDS = [
          "--out", "three-proj"],
     ),
     ("ingest-check-after", ["ingest-check", *DATA]),
+    # more modes than a class has frames: each class's rank is capped, with a warning
+    ("project-capped", ["project", *DATA, "--rank", "40", "--out", "projected-capped"]),
 ]
 
 
